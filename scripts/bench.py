@@ -29,11 +29,6 @@ previous record and exits non-zero when any metric regresses by more
 than 15% — report-only in ``scripts/check.sh``, a hard gate when a CI
 job chooses to make it one.
 
-Besides the two headline workloads the record carries the perf-PR
-matrix: per-backend fix latency (``backends``), the streaming walk
-with the incremental spectra cache on vs off (``incremental``), and
-the rank-1 eigen-update vs full ``eigh`` microbench per array size
-(``rank_one_eigh``).
 ``--obs`` switches to the observability-overhead benchmark instead:
 the same streaming workload with instrumentation disabled vs enabled,
 written to ``BENCH_obs.json`` — the number backing the "disabled obs
@@ -52,34 +47,21 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import obs
-from repro.dsp.backend import available_backends, use_backend
-from repro.dsp.incremental import (
-    eigen_state_from_covariance,
-    scaled_rank_one_eigh,
-)
 from repro.experiments.latency import run_latency
 from repro.experiments.throughput import build_stream_scenario, stream_once
-from repro.stream.runner import StreamConfig, StreamRunner
+from repro.stream.runner import StreamRunner
 
 
-def bench_latency(
-    fixes: int, repeats: int, backend: Optional[str] = None
-) -> Dict[str, object]:
-    """Single-shot fix latency: warm up, then best mean of N runs.
-
-    ``backend`` scopes the whole measurement to one array backend (the
-    per-backend matrix of ``BENCH_pipeline.json``); ``None`` keeps the
-    session default.
-    """
-    with use_backend(backend):
-        run_latency(fixes=2, rng=11)  # warm BLAS/import paths
-        best = None
-        runs: List[float] = []
-        for _ in range(repeats):
-            result = run_latency(fixes=fixes, rng=11)
-            runs.append(result.mean_ms)
-            if best is None or result.mean_ms < best.mean_ms:
-                best = result
+def bench_latency(fixes: int, repeats: int) -> Dict[str, object]:
+    """Single-shot fix latency: warm up, then best mean of N runs."""
+    run_latency(fixes=2, rng=11)  # warm BLAS/import paths
+    best = None
+    runs: List[float] = []
+    for _ in range(repeats):
+        result = run_latency(fixes=fixes, rng=11)
+        runs.append(result.mean_ms)
+        if best is None or result.mean_ms < best.mean_ms:
+            best = result
     assert best is not None
     return {
         "fixes": fixes,
@@ -89,121 +71,6 @@ def bench_latency(
         "p95_fix_ms": float(np.percentile(best.times_s, 95)) * 1e3,
         "stage_ms": best.stage_ms,
     }
-
-
-def bench_backends(fixes: int, repeats: int) -> Dict[str, object]:
-    """Fix latency per verified array backend.
-
-    Only backends that import *and* pass the verification probe on this
-    machine appear — a NumPy-only box records just ``numpy``, a
-    torch-equipped CI leg adds ``torch``.  The headline numbers stay
-    the NumPy ones; these entries exist so a backend regression is
-    visible in the same trajectory file.
-    """
-    matrix: Dict[str, object] = {}
-    for name in available_backends():
-        entry = bench_latency(fixes, repeats, backend=name)
-        matrix[name] = {
-            "mean_fix_ms": entry["mean_fix_ms"],
-            "p95_fix_ms": entry["p95_fix_ms"],
-            "mean_fix_ms_runs": entry["mean_fix_ms_runs"],
-        }
-    return matrix
-
-
-def bench_incremental(fixes: int, repeats: int) -> Dict[str, object]:
-    """The same hall walk with the spectra cache on vs off.
-
-    Streams identical reads through ``incremental=True`` (revision-
-    keyed spectra cache + rank-1 eigen updates where eligible) and
-    ``incremental=False`` (every window recomputes every pair), best of
-    N each, and reports the ``dsp.incremental.*`` counters of the
-    cached run so the record shows *why* the two differ.
-    """
-    dwatch, reads = build_stream_scenario(fixes=fixes)
-    on_config = StreamConfig(incremental=True)
-    off_config = StreamConfig(incremental=False)
-    stream_once(dwatch, reads, on_config)  # warmup: cache fills
-    stream_once(dwatch, reads, off_config)
-    best_on = best_off = None
-    for _ in range(repeats):
-        on = stream_once(dwatch, reads, on_config)
-        off = stream_once(dwatch, reads, off_config)
-        if best_on is None or on.fixes_per_s > best_on.fixes_per_s:
-            best_on = on
-        if best_off is None or off.fixes_per_s > best_off.fixes_per_s:
-            best_off = off
-    assert best_on is not None and best_off is not None
-    return {
-        "fixes": fixes,
-        "repeats": repeats,
-        "incremental_fixes_per_s": best_on.fixes_per_s,
-        "full_fixes_per_s": best_off.fixes_per_s,
-        "speedup": (
-            best_on.fixes_per_s / best_off.fixes_per_s
-            if best_off.fixes_per_s > 0
-            else 0.0
-        ),
-        # Explicit zeros: the default hall walk advances every pair's
-        # revision each window and folds multi-column windows, so none
-        # of the three fire there — recording 0 keeps that visible.
-        "counters": {
-            name: best_on.counters.get(name, 0.0)
-            for name in (
-                "dsp.incremental.skipped",
-                "dsp.incremental.updates",
-                "dsp.incremental.fallbacks",
-            )
-        },
-    }
-
-
-def bench_rank_one(repeats: int) -> Dict[str, object]:
-    """Rank-1 eigen-update vs full ``eigh``, per array size.
-
-    The microbench behind the incremental path's existence: one
-    scale-plus-rank-1 step via the secular-equation updater against one
-    fresh ``numpy.linalg.eigh`` of the updated matrix, best of N.  The
-    small sizes are the COTS deployments (where LAPACK's ``eigh`` wins
-    outright — the recorded numbers keep that honest); the large ones
-    show where the O(M^2)-plus-GEMM update crosses over.
-    """
-    rng = np.random.default_rng(20160915)
-    out: Dict[str, object] = {}
-    for m in (3, 8, 32, 128):
-        snapshots = 2 * m  # full-rank: a rank-deficient spectrum would
-        # deflate the updater and time its early return instead
-        x = rng.standard_normal((m, snapshots)) + 1j * rng.standard_normal(
-            (m, snapshots)
-        )
-        r = (x @ x.conj().T) / snapshots
-        state = eigen_state_from_covariance(r, revision=0)
-        column = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        updated = 0.9 * r + 0.1 * np.outer(column, column.conj())
-        updated = (updated + updated.conj().T) / 2.0
-        loops = 50
-        best_update = best_eigh = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            for _ in range(loops):
-                scaled_rank_one_eigh(
-                    state.values, state.vectors, 0.9, 0.1, column
-                )
-            best_update = min(
-                best_update, (time.perf_counter() - started) / loops
-            )
-            started = time.perf_counter()
-            for _ in range(loops):
-                np.linalg.eigh(updated)
-            best_eigh = min(
-                best_eigh, (time.perf_counter() - started) / loops
-            )
-        out[str(m)] = {
-            "rank_one_us": best_update * 1e6,
-            "full_eigh_us": best_eigh * 1e6,
-            "speedup": best_eigh / best_update if best_update > 0 else 0.0,
-        }
-    return out
 
 
 def bench_stream(fixes: int, repeats: int) -> Dict[str, object]:
@@ -480,35 +347,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"  best {stream['fixes_per_s']:.1f} fixes/s   "
         f"runs {[round(r, 1) for r in stream['fixes_per_s_runs']]}"
     )
-    backend_repeats = max(1, latency_repeats // 2)
-    print(
-        f"bench: per-backend latency ({latency_fixes} fixes x "
-        f"{backend_repeats} repeats per backend)..."
-    )
-    backends = bench_backends(latency_fixes, backend_repeats)
-    for name, entry in backends.items():
-        print(
-            f"  {name:<8} mean {entry['mean_fix_ms']:.1f} ms   "
-            f"p95 {entry['p95_fix_ms']:.1f} ms"
-        )
-    incremental_repeats = max(1, stream_repeats // 2)
-    print(
-        f"bench: incremental vs full stream ({stream_fixes} fixes x "
-        f"{incremental_repeats} repeats each)..."
-    )
-    incremental = bench_incremental(stream_fixes, incremental_repeats)
-    print(
-        f"  incremental {incremental['incremental_fixes_per_s']:.1f} fixes/s"
-        f"   full {incremental['full_fixes_per_s']:.1f} fixes/s   "
-        f"({incremental['speedup']:.2f}x)   counters {incremental['counters']}"
-    )
-    rank_one = bench_rank_one(1 if args.smoke else 3)
-    for m, entry in rank_one.items():
-        print(
-            f"  rank-1 m={m}: update {entry['rank_one_us']:.0f} us   "
-            f"eigh {entry['full_eigh_us']:.0f} us   "
-            f"({entry['speedup']:.2f}x)"
-        )
 
     record = {
         "schema": "repro.bench.v1",
@@ -526,9 +364,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
         "latency": latency,
         "stream": stream,
-        "backends": backends,
-        "incremental": incremental,
-        "rank_one_eigh": rank_one,
     }
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)

@@ -690,24 +690,6 @@ def _chaos_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _backend_option(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--backend`` dispatch flag (numerics commands).
-
-    Choices are *not* pinned at parser build time: the accepted set
-    lives in :mod:`repro.dsp.backend` and unknown names surface as
-    :class:`~repro.errors.UsageError` with the known names listed, so
-    the parser needs no numpy import just to render ``--help``.
-    """
-    parser.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help="array backend for the batched spectral kernels "
-        "(numpy, torch, cupy; default: numpy, or $REPRO_BACKEND). "
-        "Unavailable backends fall back to numpy with a warning.",
-    )
-
-
 def _observability_options(parser: argparse.ArgumentParser) -> None:
     """The shared ``--trace`` / ``--metrics`` flags."""
     parser.add_argument(
@@ -742,7 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=1)
     demo.add_argument("--x", type=float, default=None)
     demo.add_argument("--y", type=float, default=None)
-    _backend_option(demo)
     _observability_options(demo)
     demo.set_defaults(handler=cmd_demo)
 
@@ -755,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="run a figure reproduction")
     experiment.add_argument("figure")
     experiment.add_argument("--seed", type=int, default=1)
-    _backend_option(experiment)
     _observability_options(experiment)
     experiment.set_defaults(handler=cmd_experiment)
 
@@ -815,7 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve /metrics, /healthz and /provenance/recent on "
         "127.0.0.1:PORT while streaming (0 picks an ephemeral port)",
     )
-    _backend_option(stream)
     _chaos_option(stream)
     _observability_options(stream)
     stream.set_defaults(handler=cmd_stream)
@@ -837,7 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.8,
         help="covariance forgetting factor in (0, 1] (default: 0.8)",
     )
-    _backend_option(health)
     _chaos_option(health)
     _observability_options(health)
     health.set_defaults(handler=cmd_health)
@@ -999,32 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_handler(args: argparse.Namespace) -> int:
-    """Dispatch to the subcommand, scoped to the requested backend.
-
-    ``--backend`` selects the array backend for every batched spectral
-    kernel the command runs.  An unknown name is a usage error (exit
-    2); a known-but-unavailable one (library missing, probe failed)
-    degrades to NumPy with a warning, mirroring the library's own
-    fallback semantics.
-    """
-    backend_name = getattr(args, "backend", None)
-    if backend_name is None:
-        return args.handler(args)
-    from repro.dsp.backend import BackendError, use_backend
-
-    try:
-        with use_backend(backend_name) as backend:
-            if backend.name != backend_name.strip().lower():
-                log.warning(
-                    "requested backend unavailable; using fallback",
-                    extra=fields(requested=backend_name, active=backend.name),
-                )
-            return args.handler(args)
-    except BackendError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
@@ -1044,7 +996,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # --metrics: the /metrics route renders whatever flows into it.
         obs.configure(trace_file=trace_file, metrics_file=metrics_file)
     try:
-        return _run_handler(args)
+        return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -16,7 +16,6 @@ The four workflow steps map to four methods:
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -115,20 +114,12 @@ class DWatch:
         candidate position.  Defaults by deployment scale: 6 degrees in
         rooms, 3 degrees on sub-4 m deployments where the same angular
         slack would span tens of centimetres of the monitored area.
-    backend:
-        Array backend name for the batched spectral kernels
-        (:mod:`repro.dsp.backend`), scoped to this pipeline's spectra
-        computations.  ``None`` (default) defers to the process-wide
-        selection (``set_backend`` / ``REPRO_BACKEND`` / NumPy); an
-        unavailable backend degrades to NumPy, an unknown name raises
-        :class:`~repro.dsp.backend.BackendError` at first use.
     """
 
     scene: Scene
     cell_size: float = ROOM_GRID_CELL_M
     detector: Optional[DropDetector] = None
     consistency_tolerance: Optional[float] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.readers = {reader.name: reader for reader in self.scene.readers}
@@ -184,11 +175,10 @@ class DWatch:
         if not measurements:
             raise LocalizationError("at least one baseline capture is required")
         with obs.span("pipeline.baseline", captures=len(measurements)):
-            with self._backend_scope():
-                self.baseline = [
-                    compute_spectra(m, self.readers, self.calibration)
-                    for m in measurements
-                ]
+            self.baseline = [
+                compute_spectra(m, self.readers, self.calibration)
+                for m in measurements
+            ]
         return self.baseline
 
     def evidence(self, measurement: Measurement) -> List[AngleEvidence]:
@@ -196,10 +186,7 @@ class DWatch:
         if self.baseline is None:
             raise LocalizationError("collect_baseline() must run before localization")
         with obs.span("pipeline.evidence"):
-            with self._backend_scope():
-                online = compute_spectra(
-                    measurement, self.readers, self.calibration
-                )
+            online = compute_spectra(measurement, self.readers, self.calibration)
             return self.evidence_from_spectra(online)
 
     def evidence_from_spectra(
@@ -266,14 +253,6 @@ class DWatch:
             return []
         sp.set(outcome="ok", targets=len(estimates))
         return estimates
-
-    def _backend_scope(self):
-        """Context scoping spectra computations to :attr:`backend`."""
-        if self.backend is None:
-            return nullcontext()
-        from repro.dsp.backend import use_backend
-
-        return use_backend(self.backend)
 
     def _require_calibration(self) -> None:
         if not self.calibration:

@@ -48,7 +48,7 @@ def bartlett_spectrum_from_covariance(
     # The quadratic form a^H R a of a Hermitian R is mathematically real;
     # np.real only strips round-off in the imaginary storage.
     product = r @ a  # (M, G)
-    values = np.real(np.einsum("mg,mg->g", a.conj(), product)) / (m * m)  # reprolint: disable=RL003,RL011
+    values = np.real(np.einsum("mg,mg->g", a.conj(), product)) / (m * m)  # reprolint: disable=RL003
     return AngularSpectrum(grid, np.clip(values, 0.0, None))
 
 

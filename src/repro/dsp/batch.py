@@ -14,14 +14,6 @@ GEMM-plus-contraction for all Bartlett powers.  Peak detection stays
 per-item (scipy), but the per-lobe ``Nor(·)`` division is applied as a
 single fused ``(N, G)`` operation.
 
-Every dense primitive (GEMM, ``eigh``/``eigvalsh``, contraction)
-dispatches through :mod:`repro.dsp.backend`: NumPy — the default — is
-an exact passthrough, while ``torch``/``cupy`` run the same call
-shapes on their own kernels (tolerance-level agreement, enforced by
-the backend's verification probe).  The ``batch.*`` spans carry the
-dispatching backend's name so a profile always says which library
-produced it.
-
 **Equivalence contract.** Every kernel reproduces the scalar reference
 (:class:`repro.dsp.pmusic.PMusicEstimator`,
 :func:`repro.stream.covariance.pmusic_spectrum_from_covariance`)
@@ -42,7 +34,6 @@ import numpy as np
 
 from repro import obs
 from repro.constants import MAX_DOMINANT_PATHS
-from repro.dsp.backend import ArrayBackend, active_backend
 from repro.dsp.music import sorted_eigh
 from repro.dsp.peaks import candidate_peak_indices, region_starts_from_indices
 from repro.dsp.pmusic import PMusicEstimator
@@ -113,37 +104,30 @@ def _as_stack(arrays: ArrayLike, kind: str) -> ComplexArray:
     return stack
 
 
-def batched_sample_covariance(
-    snapshots: ArrayLike, xp: Optional[ArrayBackend] = None
-) -> ComplexArray:
+def batched_sample_covariance(snapshots: ArrayLike) -> ComplexArray:
     """Stacked ``R_i = X_i X_i^H / N`` over an ``(N, M, S)`` snapshot stack.
 
     Bit-identical to mapping :func:`repro.dsp.covariance.sample_covariance`
     over the stack: the stacked matmul runs the same GEMM per item, and
     the Hermitian symmetrization is the same elementwise expression.
     """
-    xp = active_backend() if xp is None else xp
     x = _as_stack(snapshots, "snapshot")
     if x.shape[2] < 1:
         raise EstimationError("need at least one snapshot")
-    r = xp.matmul(x, x.conj().transpose(0, 2, 1)) / x.shape[2]
+    r = np.matmul(x, x.conj().transpose(0, 2, 1)) / x.shape[2]
     return (r + r.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _batched_forward_backward(
-    covariances: ComplexArray, xp: Optional[ArrayBackend] = None
-) -> ComplexArray:
-    xp = active_backend() if xp is None else xp
+def _batched_forward_backward(covariances: ComplexArray) -> ComplexArray:
     length = covariances.shape[1]
     j = np.fliplr(np.eye(length))
-    return (covariances + xp.matmul(xp.matmul(j, covariances.conj()), j)) / 2.0
+    return (covariances + np.matmul(np.matmul(j, covariances.conj()), j)) / 2.0
 
 
 def batched_smoothed_covariance(
     snapshots: ArrayLike,
     subarray_size: int,
     forward_backward: bool = True,
-    xp: Optional[ArrayBackend] = None,
 ) -> ComplexArray:
     """Stacked spatial smoothing over an ``(N, M, S)`` snapshot stack.
 
@@ -151,7 +135,6 @@ def batched_smoothed_covariance(
     order so the floating-point sum matches
     :func:`repro.dsp.smoothing.spatially_smoothed_covariance` exactly.
     """
-    xp = active_backend() if xp is None else xp
     x = _as_stack(snapshots, "snapshot")
     m = x.shape[1]
     if not 2 <= subarray_size <= m:
@@ -163,12 +146,10 @@ def batched_smoothed_covariance(
         (x.shape[0], subarray_size, subarray_size), dtype=np.complex128
     )
     for start in range(num_subarrays):
-        accum += batched_sample_covariance(
-            x[:, start : start + subarray_size, :], xp=xp
-        )
+        accum += batched_sample_covariance(x[:, start : start + subarray_size, :])
     smoothed = accum / num_subarrays
     if forward_backward:
-        smoothed = _batched_forward_backward(smoothed, xp=xp)
+        smoothed = _batched_forward_backward(smoothed)
     return smoothed
 
 
@@ -176,7 +157,6 @@ def batched_smoothed_from_full(
     covariances: ArrayLike,
     subarray_size: int,
     forward_backward: bool = True,
-    xp: Optional[ArrayBackend] = None,
 ) -> ComplexArray:
     """Stacked covariance-domain smoothing over an ``(N, M, M)`` stack.
 
@@ -185,7 +165,6 @@ def batched_smoothed_from_full(
     averages the Hermitian-symmetrized ``(L, L)`` diagonal blocks in the
     same order.
     """
-    xp = active_backend() if xp is None else xp
     r = _as_stack(covariances, "covariance")
     m = r.shape[1]
     if r.shape[2] != m:
@@ -203,13 +182,11 @@ def batched_smoothed_from_full(
         accum += (block + block.conj().transpose(0, 2, 1)) / 2.0
     smoothed = accum / num_subarrays
     if forward_backward:
-        smoothed = _batched_forward_backward(smoothed, xp=xp)
+        smoothed = _batched_forward_backward(smoothed)
     return smoothed
 
 
-def batched_eigendecompose(
-    covariances: ArrayLike, xp: Optional[ArrayBackend] = None
-) -> Tuple[FloatArray, ComplexArray]:
+def batched_eigendecompose(covariances: ArrayLike) -> Tuple[FloatArray, ComplexArray]:
     """Descending eigenvalues/vectors of an ``(N, L, L)`` Hermitian stack.
 
     One LAPACK call per item either way — batching removes only the
@@ -217,11 +194,10 @@ def batched_eigendecompose(
     :func:`repro.dsp.music.sorted_eigh`, shared with the scalar
     reference so the two orderings cannot drift.
     """
-    xp = active_backend() if xp is None else xp
     r = _as_stack(covariances, "covariance")
     if r.shape[1] != r.shape[2]:
         raise EstimationError("covariances must be square (N, L, L)")
-    return sorted_eigh(r, xp=xp)
+    return sorted_eigh(r)
 
 
 def batched_estimate_num_sources(
@@ -257,7 +233,6 @@ def batched_music_spectra(
     spacing_m: float,
     wavelength_m: float,
     angle_grid: FloatArray,
-    xp: Optional[ArrayBackend] = None,
 ) -> FloatArray:
     """All N MUSIC pseudo-spectra from a descending eigenvector stack.
 
@@ -271,7 +246,6 @@ def batched_music_spectra(
     faster still, but small-row GEMMs can take a different BLAS path
     than the full square product, which breaks bit-equality.)
     """
-    xp = active_backend() if xp is None else xp
     vectors = _as_stack(eigenvectors, "eigenvector")
     length = vectors.shape[1]
     p = np.asarray(num_sources, dtype=np.int64)
@@ -286,7 +260,7 @@ def batched_music_spectra(
     for count in np.unique(p):
         idx = np.nonzero(p == count)[0]
         un_t = vectors[idx][:, :, count:].conj().transpose(0, 2, 1)
-        projected = xp.matmul(un_t, a)  # (K, L - P, G)
+        projected = np.matmul(un_t, a)  # (K, L - P, G)
         denom = np.sum(np.abs(projected) ** 2, axis=1)
         result[idx] = 1.0 / np.clip(denom, 1e-15, None)
     return result
@@ -297,7 +271,6 @@ def batched_bartlett_spectra(
     spacing_m: float,
     wavelength_m: float,
     angle_grid: FloatArray,
-    xp: Optional[ArrayBackend] = None,
 ) -> FloatArray:
     """All N Bartlett power spectra ``a^H R_i a / M^2`` (Eq. 13).
 
@@ -313,16 +286,15 @@ def batched_bartlett_spectra(
     through einsum's own loop nest at roughly 3x the cost of letting
     BLAS do the inner product.)
     """
-    xp = active_backend() if xp is None else xp
     r = _as_stack(covariances, "covariance")
     m = r.shape[1]
     if r.shape[2] != m:
         raise EstimationError("covariances must be square (N, M, M)")
     a = cached_steering_matrix(angle_grid, m, spacing_m, wavelength_m)
-    product = xp.matmul(r, a)  # (N, M, G)
+    product = np.matmul(r, a)  # (N, M, G)
     # The quadratic form a^H R a of a Hermitian R is mathematically real;
     # np.real only strips round-off in the imaginary storage.
-    values = np.real(xp.einsum("mg,nmg->ng", a.conj(), product)) / (m * m)  # reprolint: disable=RL003
+    values = np.real(np.einsum("mg,nmg->ng", a.conj(), product)) / (m * m)  # reprolint: disable=RL003
     return np.clip(values, 0.0, None)
 
 
@@ -423,21 +395,20 @@ def batched_pmusic_spectra(
     if n == 0:
         return []
     grid = config.grid()
-    xp = active_backend()
-    with obs.span("batch.pmusic", batch=n, size=m, backend=xp.name):
-        with obs.span("batch.covariance", backend=xp.name):
-            full = batched_sample_covariance(x, xp=xp)
+    with obs.span("batch.pmusic", batch=n, size=m):
+        with obs.span("batch.covariance"):
+            full = batched_sample_covariance(x)
             sub_len = config.resolve_subarray(m)
             if sub_len >= m:
                 smoothed = full
             else:
                 smoothed = batched_smoothed_covariance(
-                    x, sub_len, config.forward_backward, xp=xp
+                    x, sub_len, config.forward_backward
                 )
-        music_values = _batched_music_values(smoothed, config, grid, xp)
-        with obs.span("batch.bartlett", backend=xp.name):
+        music_values = _batched_music_values(smoothed, config, grid)
+        with obs.span("batch.bartlett"):
             power = batched_bartlett_spectra(
-                full, config.spacing_m, config.wavelength_m, grid, xp=xp
+                full, config.spacing_m, config.wavelength_m, grid
             )
         return _finish_pmusic(music_values, power, grid, config)
 
@@ -461,24 +432,21 @@ def batched_pmusic_from_covariances(
     if n == 0:
         return []
     grid = config.grid()
-    xp = active_backend()
-    with obs.span(
-        "batch.pmusic", batch=n, size=m, domain="covariance", backend=xp.name
-    ):
-        with obs.span("batch.covariance", backend=xp.name):
+    with obs.span("batch.pmusic", batch=n, size=m, domain="covariance"):
+        with obs.span("batch.covariance"):
             sub_len = config.resolve_subarray(m)
             if sub_len >= m:
                 smoothed = (r + r.conj().transpose(0, 2, 1)) / 2.0
             else:
                 smoothed = batched_smoothed_from_full(
-                    r, sub_len, config.forward_backward, xp=xp
+                    r, sub_len, config.forward_backward
                 )
         music_values = _batched_music_values_covariance_domain(
-            smoothed, config, grid, xp
+            smoothed, config, grid
         )
-        with obs.span("batch.bartlett", backend=xp.name):
+        with obs.span("batch.bartlett"):
             power = batched_bartlett_spectra(
-                r, config.spacing_m, config.wavelength_m, grid, xp=xp
+                r, config.spacing_m, config.wavelength_m, grid
             )
         return _finish_pmusic(music_values, power, grid, config)
 
@@ -487,7 +455,6 @@ def _batched_music_values(
     smoothed: ComplexArray,
     config: BatchPMusicConfig,
     grid: FloatArray,
-    xp: ArrayBackend,
 ) -> FloatArray:
     """MUSIC spectra of a smoothed stack, snapshot-domain call sequence.
 
@@ -495,15 +462,13 @@ def _batched_music_values(
     ``eigh`` provides both the source-count eigenvalues and the
     subspace eigenvectors.
     """
-    with obs.span(
-        "batch.eigendecomposition", size=smoothed.shape[1], backend=xp.name
-    ):
-        eigenvalues, eigenvectors = batched_eigendecompose(smoothed, xp=xp)
+    with obs.span("batch.eigendecomposition", size=smoothed.shape[1]):
+        eigenvalues, eigenvectors = batched_eigendecompose(smoothed)
         p = _resolve_num_sources(eigenvalues, config, smoothed.shape[1])
         obs.count("music.sources_detected", int(p.sum()))
-    with obs.span("batch.spectrum", backend=xp.name):
+    with obs.span("batch.spectrum"):
         return batched_music_spectra(
-            eigenvectors, p, config.spacing_m, config.wavelength_m, grid, xp=xp
+            eigenvectors, p, config.spacing_m, config.wavelength_m, grid
         )
 
 
@@ -511,7 +476,6 @@ def _batched_music_values_covariance_domain(
     smoothed: ComplexArray,
     config: BatchPMusicConfig,
     grid: FloatArray,
-    xp: ArrayBackend,
 ) -> FloatArray:
     """MUSIC spectra of a smoothed stack, covariance-domain call sequence.
 
@@ -520,15 +484,13 @@ def _batched_music_values_covariance_domain(
     separate ``eigh`` inside ``noise_subspace``; the two can disagree
     in the last bits, so both are reproduced here.
     """
-    with obs.span(
-        "batch.eigendecomposition", size=smoothed.shape[1], backend=xp.name
-    ):
-        count_values = xp.eigvalsh(smoothed)[:, ::-1]
+    with obs.span("batch.eigendecomposition", size=smoothed.shape[1]):
+        count_values = np.linalg.eigvalsh(smoothed)[:, ::-1]
         p = _resolve_num_sources(count_values, config, smoothed.shape[1])
-        _, eigenvectors = batched_eigendecompose(smoothed, xp=xp)
-    with obs.span("batch.spectrum", backend=xp.name):
+        _, eigenvectors = batched_eigendecompose(smoothed)
+    with obs.span("batch.spectrum"):
         return batched_music_spectra(
-            eigenvectors, p, config.spacing_m, config.wavelength_m, grid, xp=xp
+            eigenvectors, p, config.spacing_m, config.wavelength_m, grid
         )
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from repro import obs
 from repro.analysis.contracts import check_shapes, ensure_finite
 from repro.constants import DEFAULT_WAVELENGTH_M, MAX_DOMINANT_PATHS
-from repro.dsp.backend import ArrayBackend, get_backend
 from repro.dsp.covariance import sample_covariance
 from repro.dsp.peaks import find_spectrum_peaks
 from repro.dsp.smoothing import default_subarray_size, spatially_smoothed_covariance
@@ -27,9 +26,7 @@ from repro.rf.array import cached_steering_matrix
 from repro.utils.arrays import ArrayLike, ComplexArray, FloatArray
 
 
-def sorted_eigh(
-    matrices: ComplexArray, xp: Optional[ArrayBackend] = None
-) -> Tuple[FloatArray, ComplexArray]:
+def sorted_eigh(matrices: ComplexArray) -> Tuple[FloatArray, ComplexArray]:
     """Descending eigendecomposition of Hermitian matrices (stacked ok).
 
     The one place the eigh-then-sort sequence lives: the scalar
@@ -38,13 +35,8 @@ def sorted_eigh(
     the two orderings cannot drift.  Accepts a single ``(L, L)`` matrix
     or an ``(N, L, L)`` stack; the reorder is a pure gather along the
     trailing axes, so per-item results are identical either way.
-
-    ``xp`` picks the dispatch backend for the ``eigh`` itself; ``None``
-    pins NumPy, which keeps every scalar caller on the bit-exact
-    reference path regardless of the session's active backend.
     """
-    backend = get_backend("numpy") if xp is None else xp
-    eigenvalues, eigenvectors = backend.eigh(matrices)
+    eigenvalues, eigenvectors = np.linalg.eigh(matrices)
     order = np.argsort(eigenvalues, axis=-1)[..., ::-1]
     values = np.take_along_axis(eigenvalues, order, axis=-1)
     vectors = np.take_along_axis(eigenvectors, order[..., None, :], axis=-1)

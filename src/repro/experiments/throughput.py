@@ -24,7 +24,6 @@ from repro.sim.environments import hall_scene
 from repro.sim.measurement import MeasurementSession
 from repro.stream import StreamRunner
 from repro.stream.events import TagRead
-from repro.stream.runner import StreamConfig
 from repro.stream.synthetic import SyntheticStreamConfig, synthetic_reads
 
 
@@ -39,9 +38,6 @@ class ThroughputResult:
     p99_ms: float
     window_count: int
     stage_ms: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: ``dsp.incremental.*`` counter totals of the run (skipped /
-    #: updates / fallbacks), for the incremental-vs-full benchmark.
-    counters: Dict[str, float] = field(default_factory=dict)
 
     @property
     def fixes_per_s(self) -> float:
@@ -88,24 +84,14 @@ def build_stream_scenario(
     return dwatch, reads
 
 
-def stream_once(
-    dwatch: DWatch,
-    reads: List[TagRead],
-    config: "StreamConfig | None" = None,
-) -> ThroughputResult:
-    """Stream one fresh runner over prepared reads and time it.
-
-    ``config`` overrides the runner's :class:`StreamConfig` — the
-    incremental-vs-full benchmark passes ``incremental=False`` to
-    measure the same walk without the spectra cache.
-    """
-    runner = StreamRunner(dwatch, config)
+def stream_once(dwatch: DWatch, reads: List[TagRead]) -> ThroughputResult:
+    """Stream one fresh runner over prepared reads and time it."""
+    runner = StreamRunner(dwatch)
     with obs.observed() as state:
         started = time.perf_counter()
         fixes = list(runner.run(iter(reads)))
         elapsed = time.perf_counter() - started
         histogram = state.registry.histogram("latency.stream.window")
-        snapshot = state.registry.snapshot()
         result = ThroughputResult(
             fixes=fixes,
             reads=len(reads),
@@ -113,12 +99,7 @@ def stream_once(
             p50_ms=histogram.percentile(50.0),
             p99_ms=histogram.percentile(99.0),
             window_count=histogram.count,
-            stage_ms=latency_stage_stats(snapshot),
-            counters={
-                record["name"]: float(record["value"])
-                for record in snapshot
-                if record["name"].startswith("dsp.incremental.")
-            },
+            stage_ms=latency_stage_stats(state.registry.snapshot()),
         )
     return result
 

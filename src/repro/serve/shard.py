@@ -522,10 +522,7 @@ class DeploymentShard:
                 self._hold_if_stalled()
                 with self._lock:
                     self._heartbeat = time.monotonic()
-                drained = self._ingress.drain()
-                if drained:
-                    runner.queue.put_many(drained)
-                    unflushed += self._emit(runner.poll())
+                unflushed += self._feed(runner)
                 if self._ckpt_request.is_set():
                     self._ckpt_request.clear()
                     self._write_checkpoint(runner)
@@ -539,9 +536,7 @@ class DeploymentShard:
                     unflushed = 0
                 if self._stop.is_set():
                     if self._drain_on_stop:
-                        leftovers = self._ingress.drain()
-                        if leftovers:
-                            runner.queue.put_many(leftovers)
+                        self._feed(runner)
                         self._emit(runner.finish())
                         if self.checkpoint_path is not None:
                             self._write_checkpoint(runner)
@@ -559,6 +554,28 @@ class DeploymentShard:
                 labels={"deployment": self.spec.deployment_id},
             )
             self._notify("failed", error=str(exc))
+
+    def _feed(self, runner: StreamRunner) -> int:
+        """Move the ingress backlog into the runner; fixes emitted.
+
+        Every ingress read was already acked to its publisher, so none
+        may be lost here.  The runner's queue drops on overflow and its
+        capacity can be below the ingress bound (a stall lets the
+        backlog grow past it), so the backlog moves in batches of at
+        most that capacity, each fully polled before the next.  Only
+        the backlog present on entry is moved, which keeps one pass
+        bounded while publishers keep routing.
+        """
+        emitted = 0
+        pending = len(self._ingress)
+        while pending > 0:
+            batch = self._ingress.drain(min(pending, runner.queue.capacity))
+            if not batch:
+                break
+            pending -= len(batch)
+            runner.queue.put_many(batch)
+            emitted += self._emit(runner.poll())
+        return emitted
 
     def _emit(self, fixes: Sequence[Any]) -> int:
         records = [fix_record(fix) for fix in fixes]

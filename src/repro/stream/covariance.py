@@ -156,12 +156,6 @@ class EwCovariance:
         self._weighted = np.zeros((num_antennas, num_antennas), dtype=np.complex128)
         self._weight = 0.0
         self.updates = 0
-        #: Monotonic content stamp: bumped once per folded column and on
-        #: every rollback, never reused — so "same revision" always
-        #: means "bit-identical covariance", which is what lets the
-        #: stream's spectra cache skip recomputation for quiet pairs.
-        self.revision = 0
-        self._last_fold: Optional[Tuple[ComplexArray, float, float, int]] = None
 
     @property
     def weight(self) -> float:
@@ -177,20 +171,9 @@ class EwCovariance:
             )
         if self.decay != 1.0:
             self._weighted *= self.decay
-        previous_weight = self._weight
         self._weighted += np.outer(x, x.conj())
         self._weight = self.decay * self._weight + 1.0
         self.updates += 1
-        self.revision += 1
-        # R' = (decay * w / w') R + (1 / w') x x^H: the scale/gain pair
-        # the rank-1 eigen-updater needs to move the previous
-        # eigendecomposition to the new covariance without a fresh eigh.
-        self._last_fold = (
-            x.copy(),
-            self.decay * previous_weight / self._weight,
-            1.0 / self._weight,
-            self.revision,
-        )
 
     def update_matrix(self, snapshots: ArrayLike) -> None:
         """Fold in every column of an ``(M, N)`` snapshot matrix, in order."""
@@ -206,12 +189,6 @@ class EwCovariance:
         # preserved — sequential decayed rank-1 updates do not commute
         # in floating point, so this stays bit-identical to the loop
         # over :meth:`update`.
-        if x.shape[1] == 1:
-            # A single column is exactly one rank-1 fold; route through
-            # :meth:`update` so the fold descriptor for the incremental
-            # eigen path is recorded.
-            self.update(x[:, 0])
-            return
         weighted = self._weighted
         decay = self.decay
         weight = self._weight
@@ -223,10 +200,6 @@ class EwCovariance:
             weight = decay * weight + 1.0
         self._weight = weight
         self.updates += x.shape[1]
-        self.revision += x.shape[1]
-        # A multi-column fold is not a rank-1 step; the incremental
-        # eigen path must re-decompose from scratch for this pair.
-        self._last_fold = None
 
     def covariance(self) -> ComplexArray:
         """The current Hermitian ``(M, M)`` estimate."""
@@ -235,43 +208,21 @@ class EwCovariance:
         r = self._weighted / self._weight
         return (r + r.conj().T) / 2.0
 
-    @property
-    def last_fold(self) -> Optional[Tuple[ComplexArray, float, float, int]]:
-        """Descriptor of the most recent single-column fold, if any.
-
-        ``(column, scale, gain, revision)`` such that the covariance at
-        ``revision`` equals ``scale * R_prev + gain * column column^H``
-        — exactly the scale-plus-rank-1 step
-        :func:`repro.dsp.incremental.scaled_rank_one_eigh` consumes.
-        ``None`` after a multi-column fold or a rollback, which forces
-        the consumer back to a full eigendecomposition.
-        """
-        return self._last_fold
-
-    def state_snapshot(self) -> Tuple[ComplexArray, float, int, int]:
+    def state_snapshot(self) -> Tuple[ComplexArray, float, int]:
         """Copy of the mutable accumulator state, for transactional updates.
 
         The streaming runner snapshots every pair before a speculative
         batched window so a failure can roll the bank back and replay
         the reference per-tag loop with its exact failure semantics.
         """
-        return self._weighted.copy(), self._weight, self.updates, self.revision
+        return self._weighted.copy(), self._weight, self.updates
 
-    def state_restore(self, state: Tuple[ComplexArray, float, int, int]) -> None:
-        """Adopt a snapshot taken by :meth:`state_snapshot`.
-
-        The revision is *not* rolled back with the content: it advances
-        past both its current value and the snapshot's, so a revision
-        number is never associated with two different accumulator
-        states and every revision-keyed cache entry stays trustworthy
-        across a rollback-and-replay cycle.
-        """
-        weighted, weight, updates, revision = state
+    def state_restore(self, state: Tuple[ComplexArray, float, int]) -> None:
+        """Adopt a snapshot taken by :meth:`state_snapshot`."""
+        weighted, weight, updates = state
         self._weighted = weighted.copy()
         self._weight = weight
         self.updates = updates
-        self.revision = max(self.revision, revision) + 1
-        self._last_fold = None
 
 
 @dataclass
@@ -289,12 +240,6 @@ class CovarianceBank:
             existing = EwCovariance(num_antennas, self.decay)
             self._pairs[key] = existing
         return existing
-
-    def pair_if_tracked(
-        self, reader_name: str, epc: str
-    ) -> Optional[EwCovariance]:
-        """The estimator of one pair, or ``None`` when never updated."""
-        return self._pairs.get((reader_name, epc))
 
     def covariance(self, reader_name: str, epc: str) -> ComplexArray:
         """The current estimate of one pair (must have been updated)."""

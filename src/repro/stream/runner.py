@@ -54,18 +54,6 @@ from repro.errors import (
 )
 from repro.geometry.point import Point
 from repro.dsp.batch import BatchPMusicConfig, batched_pmusic_from_covariances
-from repro.dsp.incremental import (
-    DEFAULT_DRIFT_TOLERANCE,
-    CacheEntry,
-    EigenState,
-    SpectraCache,
-    config_fingerprint,
-    eigen_state_from_covariance,
-    pmusic_spectrum_from_eigh,
-    rank_one_eligible,
-    reconstruction_drift,
-    scaled_rank_one_eigh,
-)
 from repro.rfid.reader import Reader
 from repro.sim.measurement import Measurement
 from repro.stream.covariance import (
@@ -113,18 +101,6 @@ class StreamConfig:
         position is attempted.  The default ``1`` preserves the original
         behaviour (any detection localizes); raising it trades coverage
         for ghost suppression when parts of the fleet are unhealthy.
-    incremental:
-        Enable the revision-keyed spectra cache and the rank-1
-        eigen-update (:mod:`repro.dsp.incremental`).  A pair whose
-        covariance revision is unchanged is served its cached spectrum
-        (``dsp.incremental.skipped``); a pair advanced by exactly one
-        snapshot column in an unsmoothed configuration gets a
-        secular-equation eigen-update instead of a full ``eigh``,
-        guarded by an exactness gate that falls back to the full path
-        (``dsp.incremental.fallbacks``) when the reconstruction drifts
-        past :data:`~repro.dsp.incremental.DEFAULT_DRIFT_TOLERANCE`.
-        The default multi-sweep windows never take the rank-1 branch,
-        so enabling this leaves default stream output byte-identical.
     deployment_id:
         Optional fleet deployment id this runner serves.  Purely a
         label: it flows into the ingest queue's per-deployment drop
@@ -144,7 +120,6 @@ class StreamConfig:
     health: HealthConfig = field(default_factory=HealthConfig)
     min_evidence_readers: int = 1
     deployment_id: Optional[str] = None
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.max_targets < 1:
@@ -196,14 +171,6 @@ class StreamRunner:
         self.health = HealthTracker.for_readers(
             dwatch.readers, self.config.health
         )
-        #: Revision-keyed spectra memo (``None`` disables both the
-        #: skip cache and the rank-1 eigen-update path).
-        self.spectra_cache: Optional[SpectraCache] = (
-            SpectraCache() if self.config.incremental else None
-        )
-        #: Exactness gate of the rank-1 eigen-update; tests tighten it
-        #: to force the full-``eigh`` fallback.
-        self.drift_tolerance = DEFAULT_DRIFT_TOLERANCE
         self.fixes_emitted = 0
         self.rejected_reads = 0
         #: Identities of the checkpoints this run restored from, oldest
@@ -314,11 +281,6 @@ class StreamRunner:
         from repro.stream.checkpoint import restore_state
 
         restore_state(self, state)
-        if self.spectra_cache is not None:
-            # Restored pairs restart their revision counters, so any
-            # pre-restore cache entries could collide with a future
-            # revision of different content; drop them all.
-            self.spectra_cache = SpectraCache()
 
     def _process_window(self, window: SnapshotWindow) -> TrackFix:
         with obs.span(
@@ -565,10 +527,10 @@ class StreamRunner:
         The flag reports whether the scalar reference chain produced
         the spectra (``True`` only after a batched-pass rollback).
         """
-        saved: List[Tuple[EwCovariance, Tuple[ComplexArray, float, int, int]]] = []
+        saved: List[Tuple[EwCovariance, Tuple[ComplexArray, float, int]]] = []
         try:
             epcs: List[str] = []
-            pairs: List[EwCovariance] = []
+            covariances: List[ComplexArray] = []
             for epc in measurement.tags_for(reader_name):
                 snapshots = measurement.matrix(reader_name, epc)
                 if offsets is not None:
@@ -579,8 +541,8 @@ class StreamRunner:
                 saved.append((estimator, estimator.state_snapshot()))
                 estimator.update_matrix(snapshots)
                 epcs.append(epc)
-                pairs.append(estimator)
-            return self._batched_tag_spectra(reader_name, reader, epcs, pairs), False
+                covariances.append(estimator.covariance())
+            return self._batched_tag_spectra(reader, epcs, covariances), False
         except (ReproError, ValueError, ArithmeticError):
             # Everything the spectral chain can raise: the repro
             # taxonomy, shape/eigensolver failures (LinAlgError is a
@@ -595,192 +557,24 @@ class StreamRunner:
             return scalar, True
 
     def _batched_tag_spectra(
-        self,
-        reader_name: str,
-        reader: Reader,
-        epcs: List[str],
-        pairs: List[EwCovariance],
+        self, reader: Reader, epcs: List[str], covariances: List[ComplexArray]
     ) -> Dict[str, AngularSpectrum]:
-        """Stacked P-MUSIC over uniform-size covariance groups.
-
-        With the incremental path enabled each pair first consults the
-        revision-keyed cache (hit → cached spectrum, no recompute) and
-        then the rank-1 eigen-update (single-column fold in an
-        unsmoothed configuration); only the remaining misses pay the
-        full batched recompute.  The batched kernels are per-item, so
-        spectra are bit-identical no matter how the misses are grouped
-        — a cache hit returns exactly what a recompute would.
-        """
+        """Stacked P-MUSIC over uniform-size covariance groups."""
         config = BatchPMusicConfig(
             spacing_m=reader.array.spacing_m,
             wavelength_m=reader.array.wavelength_m,
         )
-        cache = self.spectra_cache
-        fingerprint = config_fingerprint(config) if cache is not None else None
-        covariances: List[ComplexArray] = []
-        computed: Dict[str, AngularSpectrum] = {}
-        misses: List[int] = []
-        for position, (epc, estimator) in enumerate(zip(epcs, pairs)):
-            covariance = estimator.covariance()
-            covariances.append(covariance)
-            if cache is None or fingerprint is None:
-                misses.append(position)
-                continue
-            entry = cache.lookup(
-                (reader_name, epc), estimator.revision, fingerprint
-            )
-            if entry is not None:
-                obs.count("dsp.incremental.skipped")
-                computed[epc] = entry.spectrum
-                continue
-            spectrum = self._incremental_spectrum(
-                reader_name, epc, estimator, covariance, config, fingerprint
-            )
-            if spectrum is not None:
-                computed[epc] = spectrum
-            else:
-                misses.append(position)
         groups: Dict[Tuple[int, ...], List[int]] = {}
-        for position in misses:
-            groups.setdefault(covariances[position].shape, []).append(position)
+        for position, covariance in enumerate(covariances):
+            groups.setdefault(covariance.shape, []).append(position)
+        computed: Dict[str, AngularSpectrum] = {}
         for positions in groups.values():
             stack = np.stack([covariances[i] for i in positions])
             spectra = batched_pmusic_from_covariances(stack, config)
-            for i, spectrum in zip(positions, spectra):
-                computed[epcs[i]] = spectrum
-                if cache is not None and fingerprint is not None:
-                    self._store_cache_entry(
-                        reader_name,
-                        epcs[i],
-                        pairs[i],
-                        covariances[i],
-                        config,
-                        fingerprint,
-                        spectrum,
-                    )
+            computed.update(
+                {epcs[i]: spectrum for i, spectrum in zip(positions, spectra)}
+            )
         return {epc: computed[epc] for epc in epcs}
-
-    def _incremental_spectrum(
-        self,
-        reader_name: str,
-        epc: str,
-        estimator: EwCovariance,
-        covariance: ComplexArray,
-        config: BatchPMusicConfig,
-        fingerprint: Tuple[object, ...],
-    ) -> Optional[AngularSpectrum]:
-        """Rank-1 eigen-update spectrum for one pair, or ``None``.
-
-        ``None`` means "take the full batched path": the pair has no
-        usable eigen seed, the last fold was not a single column, the
-        secular update deflated, or the exactness gate rejected the
-        proposed factors (the latter two bump
-        ``dsp.incremental.fallbacks`` — the seed/eligibility cases are
-        the *normal* state of multi-sweep windows, not fallbacks).
-        """
-        cache = self.spectra_cache
-        if cache is None:
-            return None
-        previous = cache.get((reader_name, epc))
-        if (
-            previous is None
-            or previous.eigen is None
-            or previous.fingerprint != fingerprint
-        ):
-            return None
-        fold = estimator.last_fold
-        if fold is None:
-            return None
-        column, scale, gain, revision = fold
-        if (
-            revision != estimator.revision
-            or previous.eigen.revision != revision - 1
-        ):
-            return None
-        updated = scaled_rank_one_eigh(
-            previous.eigen.values, previous.eigen.vectors, scale, gain, column
-        )
-        if updated is None:
-            obs.count("dsp.incremental.fallbacks")
-            return None
-        values, vectors = updated
-        smoothed = (covariance + covariance.conj().T) / 2.0
-        if reconstruction_drift(values, vectors, smoothed) > self.drift_tolerance:
-            obs.count("dsp.incremental.fallbacks")
-            return None
-        try:
-            spectrum = pmusic_spectrum_from_eigh(
-                covariance, values[::-1], vectors[:, ::-1], config
-            )
-        except ReproError:
-            obs.count("dsp.incremental.fallbacks")
-            return None
-        obs.count("dsp.incremental.updates")
-        cache.store(
-            (reader_name, epc),
-            CacheEntry(
-                revision=revision,
-                fingerprint=fingerprint,
-                spectrum=spectrum,
-                eigen=EigenState(
-                    revision=revision, values=values, vectors=vectors
-                ),
-            ),
-        )
-        return spectrum
-
-    def _store_cache_entry(
-        self,
-        reader_name: str,
-        epc: str,
-        estimator: EwCovariance,
-        covariance: ComplexArray,
-        config: BatchPMusicConfig,
-        fingerprint: Tuple[object, ...],
-        spectrum: AngularSpectrum,
-    ) -> None:
-        """Record a fully-recomputed spectrum (and eigen seed) for a pair.
-
-        The eigen seed is only kept for rank-1-eligible configurations;
-        its extra ``eigh`` is an O(M^3) cost on an M-element matrix,
-        paid only where the next window can actually spend it.
-        """
-        if self.spectra_cache is None:
-            return
-        eigen: Optional[EigenState] = None
-        if rank_one_eligible(config, covariance.shape[0]):
-            eigen = eigen_state_from_covariance(covariance, estimator.revision)
-        self.spectra_cache.store(
-            (reader_name, epc),
-            CacheEntry(
-                revision=estimator.revision,
-                fingerprint=fingerprint,
-                spectrum=spectrum,
-                eigen=eigen,
-            ),
-        )
-
-    def pair_spectrum(self, reader_name: str, epc: str) -> AngularSpectrum:
-        """On-demand P-MUSIC spectrum of one tracked (reader, tag) pair.
-
-        The introspection hook ops tooling polls between windows.  With
-        the incremental path enabled, a pair whose covariance revision
-        is unchanged since the last computation is served straight from
-        the cache (``dsp.incremental.skipped``) — an untouched pair
-        never recomputes its spectral chain, no matter how often it is
-        asked for.
-        """
-        if reader_name not in self.dwatch.readers:
-            raise StreamError(f"unknown reader {reader_name!r}")
-        reader = self.dwatch.readers[reader_name]
-        estimator = self.bank.pair_if_tracked(reader_name, epc)
-        if estimator is None:
-            raise StreamError(
-                f"no covariance tracked for reader {reader_name!r} / tag {epc!r}"
-            )
-        return self._batched_tag_spectra(
-            reader_name, reader, [epc], [estimator]
-        )[epc]
 
     def _scalar_reader_spectra(
         self,

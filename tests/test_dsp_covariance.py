@@ -26,7 +26,7 @@ class TestSampleCovariance:
         eigenvalues = np.linalg.eigvalsh(sample_covariance(x))
         assert np.all(eigenvalues >= -1e-12)
 
-    def test_rank_one_for_single_snapshot(self, rng):
+    def test_single_snapshot_has_one_nonzero_eigenvalue(self, rng):
         x = rng.normal(size=(6, 1)) + 1j * rng.normal(size=(6, 1))
         r = sample_covariance(x)
         eigenvalues = np.sort(np.linalg.eigvalsh(r))

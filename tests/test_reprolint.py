@@ -318,69 +318,6 @@ class TestRL006SwallowedExceptions:
         ) == []
 
 
-class TestRL011DenseKernelsInDsp:
-    DIRECT_EIGH = """
-    import numpy as np
-
-    def decompose(smoothed: object) -> object:
-        return np.linalg.eigh(smoothed)
-    """
-
-    def test_flags_direct_eigh_in_dsp(self):
-        assert "RL011" in codes_of(self.DIRECT_EIGH)
-
-    def test_flags_direct_einsum_in_dsp(self):
-        assert "RL011" in codes_of(
-            """
-            import numpy as np
-
-            def power(a: object, product: object) -> object:
-                return np.einsum("mg,mg->g", a, product)
-            """
-        )
-
-    def test_flags_eigvalsh_imported_from_numpy_linalg(self):
-        assert "RL011" in codes_of(
-            """
-            from numpy.linalg import eigvalsh
-
-            def count(smoothed: object) -> object:
-                return eigvalsh(smoothed)
-            """
-        )
-
-    def test_backend_module_is_whitelisted(self):
-        assert (
-            codes_of(self.DIRECT_EIGH, path="src/repro/dsp/backend.py") == []
-        )
-
-    def test_outside_dsp_is_out_of_scope(self):
-        assert (
-            codes_of(self.DIRECT_EIGH, path="src/repro/stream/covariance.py")
-            == []
-        )
-
-    def test_backend_dispatch_is_clean(self):
-        assert codes_of(
-            """
-            from repro.dsp.backend import get_backend
-
-            def decompose(smoothed: object) -> object:
-                return get_backend().eigh(smoothed)
-            """
-        ) == []
-
-    def test_suppressed_with_disable_comment(self):
-        assert codes_of(
-            """
-            import numpy as np
-
-            def decompose(smoothed: object) -> object:
-                return np.linalg.eigh(smoothed)  # reprolint: disable=RL011
-            """
-        ) == []
-
-
 class TestEngine:
     def test_syntax_error_becomes_rl000_finding(self):
         findings = lint_source("def broken(:\n", FAKE_PATH)
@@ -419,7 +356,7 @@ class TestEngine:
     def test_every_rule_has_code_and_message(self):
         assert set(RULES) == {
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-            "RL007", "RL008", "RL009", "RL010", "RL011",
+            "RL007", "RL008", "RL009", "RL010",
         }
         for code, message in RULES.items():
             assert code.startswith("RL")

@@ -18,9 +18,12 @@ from repro.errors import SourceUnavailableError
 from repro.serve import protocol
 from repro.serve.publisher import ReadPublisher
 from repro.serve.registry import DeploymentRegistry, DeploymentSpec
-from repro.serve.shard import Admission
+from repro.serve.shard import Admission, DeploymentShard, build_runner
 from repro.serve.supervisor import ShardSupervisor
+from repro.sim.environments import hall_scene
 from repro.stream.events import TagRead
+from repro.stream.provenance import fix_record
+from repro.stream.synthetic import SyntheticStreamConfig, synthetic_reads
 
 
 def read(n):
@@ -221,3 +224,69 @@ class TestRealShardSheds:
     def test_admission_reopens_after_the_drain(self, shed_run):
         assert shed_run["reopened"] is not None
         assert not shed_run["reopened"].shed
+
+
+class TestStalledBacklogLosesNoAckedRead:
+    """A stall lets acked reads pile up past the runner queue's bound."""
+
+    SPEC = DeploymentSpec(
+        deployment_id="dep-backlog",
+        seed=41,
+        num_tags=3,
+        num_antennas=3,
+        num_readers=2,
+    )
+
+    @pytest.fixture(scope="class")
+    def backlog_run(self):
+        spec = self.SPEC
+        scene = hall_scene(
+            rng=spec.seed,
+            num_tags=spec.num_tags,
+            num_antennas=spec.num_antennas,
+            num_readers=spec.num_readers,
+        )
+        reads = list(
+            synthetic_reads(
+                scene, SyntheticStreamConfig(fixes=30), rng=spec.seed + 3
+            )
+        )
+        shard = DeploymentShard(spec).start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while shard.state != "live" and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert shard.state == "live"
+            shard.stall(1.0)
+            verdicts = [
+                shard.route(reads[start : start + 500])
+                for start in range(0, len(reads), 500)
+            ]
+        finally:
+            shard.stop(drain=True)
+        runner = shard._runner
+        assert runner is not None
+        return {
+            "reads": reads,
+            "verdicts": verdicts,
+            "runner_capacity": runner.queue.capacity,
+            "runner_dropped": runner.queue.stats.dropped,
+            "records": shard.fix_records(),
+        }
+
+    def test_every_read_was_acked(self, backlog_run):
+        verdicts = backlog_run["verdicts"]
+        assert not any(verdict.shed for verdict in verdicts)
+        assert sum(verdict.accepted for verdict in verdicts) == len(
+            backlog_run["reads"]
+        )
+        # The backlog outgrows the runner queue, which is the hazard.
+        assert len(backlog_run["reads"]) > backlog_run["runner_capacity"]
+
+    def test_runner_queue_drops_nothing(self, backlog_run):
+        assert backlog_run["runner_dropped"] == 0
+
+    def test_fixes_match_an_in_process_replay(self, backlog_run):
+        runner = build_runner(self.SPEC)
+        expected = [fix_record(fix) for fix in runner.run(backlog_run["reads"])]
+        assert backlog_run["records"] == expected

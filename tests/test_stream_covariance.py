@@ -47,6 +47,22 @@ class TestEwCovariance:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize("columns", [1, 2, 7])
+    def test_update_matrix_equals_repeated_update(self, rng, columns):
+        # The inlined matrix fold must stay bit-identical to folding the
+        # same columns one at a time, including a one-column matrix.
+        history, x = snapshots(rng, m=4, n=3), snapshots(rng, m=4, n=columns)
+        matrix = EwCovariance(num_antennas=4, decay=0.8)
+        looped = EwCovariance(num_antennas=4, decay=0.8)
+        matrix.update_matrix(history)
+        looped.update_matrix(history)
+        matrix.update_matrix(x)
+        for n in range(columns):
+            looped.update(x[:, n])
+        np.testing.assert_array_equal(matrix.covariance(), looped.covariance())
+        assert matrix.weight == looped.weight
+        assert matrix.updates == looped.updates
+
     def test_decay_discounts_old_snapshots(self, rng):
         old = np.ones(4, dtype=complex)
         new = 1j * np.ones(4, dtype=complex)
@@ -156,80 +172,3 @@ class TestPmusicFromCovariance:
     def test_rejects_non_square_covariance(self):
         with pytest.raises(EstimationError):
             pmusic_spectrum_from_covariance(np.ones((3, 4)), SPACING, WAVELENGTH)
-
-
-class TestRevisions:
-    def test_revision_advances_once_per_column(self, rng):
-        est = EwCovariance(num_antennas=4, decay=0.8)
-        assert est.revision == 0
-        est.update(snapshots(rng, m=4, n=1)[:, 0])
-        assert est.revision == 1
-        est.update_matrix(snapshots(rng, m=4, n=5))
-        assert est.revision == 6
-
-    def test_single_column_fold_records_the_recurrence(self, rng):
-        # last_fold must satisfy R' = scale * R_prev + gain * x x^H.
-        est = EwCovariance(num_antennas=4, decay=0.8)
-        est.update_matrix(snapshots(rng, m=4, n=6))
-        previous = est.covariance()
-        column = snapshots(rng, m=4, n=1)[:, 0]
-        est.update(column)
-        fold = est.last_fold
-        assert fold is not None
-        folded, scale, gain, revision = fold
-        assert revision == est.revision
-        np.testing.assert_array_equal(folded, column)
-        rebuilt = scale * previous + gain * np.outer(column, column.conj())
-        np.testing.assert_allclose(
-            est.covariance(), (rebuilt + rebuilt.conj().T) / 2.0, atol=1e-12
-        )
-
-    def test_multi_column_fold_clears_the_descriptor(self, rng):
-        est = EwCovariance(num_antennas=4, decay=1.0)
-        est.update(snapshots(rng, m=4, n=1)[:, 0])
-        assert est.last_fold is not None
-        est.update_matrix(snapshots(rng, m=4, n=3))
-        assert est.last_fold is None
-
-    def test_matrix_of_one_column_routes_through_update(self, rng):
-        est = EwCovariance(num_antennas=4, decay=0.8)
-        est.update_matrix(snapshots(rng, m=4, n=1))
-        assert est.last_fold is not None
-        assert est.revision == 1
-
-    def test_restore_never_reuses_a_revision(self, rng):
-        # The cache-safety contract: a revision number is never
-        # associated with two different accumulator states.
-        est = EwCovariance(num_antennas=4, decay=1.0)
-        est.update_matrix(snapshots(rng, m=4, n=3))
-        state = est.state_snapshot()
-        seen = est.revision
-        est.update_matrix(snapshots(rng, m=4, n=4))
-        advanced = est.revision
-        est.state_restore(state)
-        assert est.revision > seen
-        assert est.revision > advanced
-        assert est.last_fold is None
-        # Content is back to the snapshot, revision is not.
-        restored = EwCovariance(num_antennas=4, decay=1.0)
-        restored._weighted, restored._weight = state[0].copy(), state[1]
-        np.testing.assert_allclose(
-            est.covariance(), restored.covariance(), atol=0.0
-        )
-
-    def test_restore_after_no_progress_still_bumps(self, rng):
-        est = EwCovariance(num_antennas=4, decay=1.0)
-        est.update_matrix(snapshots(rng, m=4, n=2))
-        state = est.state_snapshot()
-        before = est.revision
-        est.state_restore(state)
-        assert est.revision == before + 1
-
-    def test_bank_hands_out_stamped_pairs(self, rng):
-        bank = CovarianceBank(decay=1.0)
-        pair = bank.pair("r1", "epc-1", 4)
-        assert bank.pair_if_tracked("r1", "epc-1") is pair
-        assert bank.pair_if_tracked("r1", "missing") is None
-        assert pair.revision == 0
-        pair.update_matrix(snapshots(rng, m=4, n=2))
-        assert bank.pair("r1", "epc-1", 4).revision == 2

@@ -6,7 +6,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.core.baseline import SpectrumSet
 from repro.core.pipeline import DWatch
 from repro.dsp.spectrum import AngularSpectrum
@@ -20,7 +19,6 @@ from repro.stream.synthetic import (
     synthetic_reads,
     target_positions,
 )
-from repro.stream.window import WindowConfig
 
 
 @pytest.fixture(scope="module")
@@ -209,132 +207,3 @@ class TestCliBitIdentity:
         assert plain == observed
         assert (tmp_path / "trace.jsonl").exists()
         assert (tmp_path / "metrics.jsonl").exists()
-
-
-@pytest.fixture(scope="module")
-def tiny_tracking():
-    """A 3-antenna deployment: smoothing is the identity, so the rank-1
-    eigen-update path is *eligible* (unlike the 6-antenna fixture)."""
-    scene = hall_scene(rng=11, num_tags=4, num_antennas=3)
-    dwatch = DWatch(scene, cell_size=0.1)
-    dwatch.calibrate(rng=12)
-    session = MeasurementSession(scene, rng=13)
-    dwatch.collect_baseline([session.capture() for _ in range(2)])
-    return scene, dwatch
-
-
-def single_sweep_stream(scene, incremental=True):
-    """Reads + runner config producing one-column folds per window."""
-    config = SyntheticStreamConfig(fixes=6, moving=False, sweeps_per_fix=1)
-    stream_config = StreamConfig(
-        window=WindowConfig(sweeps_per_window=1), incremental=incremental
-    )
-    return config, stream_config
-
-
-class TestIncrementalPath:
-    def test_untouched_pair_is_served_from_the_cache(self, tracking):
-        scene, dwatch = tracking
-        runner = StreamRunner(dwatch)
-        config = SyntheticStreamConfig(fixes=2, moving=False)
-        list(runner.run(synthetic_reads(scene, config, rng=8)))
-        reader_name, epc = next(iter(runner.bank._pairs))
-        revision_before = runner.bank.pair_if_tracked(reader_name, epc).revision
-        with obs.observed() as state:
-            first = runner.pair_spectrum(reader_name, epc)
-            second = runner.pair_spectrum(reader_name, epc)
-            skipped = state.registry.counter("dsp.incremental.skipped")
-            # Both polls hit the revision-keyed cache: the pair's
-            # covariance never changed, so nothing recomputes.
-            assert skipped.value == 2.0
-        assert runner.bank.pair_if_tracked(reader_name, epc).revision == (
-            revision_before
-        )
-        np.testing.assert_array_equal(first.values, second.values)
-
-    def test_disabled_incremental_has_no_cache(self, tracking):
-        scene, dwatch = tracking
-        runner = StreamRunner(dwatch, StreamConfig(incremental=False))
-        assert runner.spectra_cache is None
-        config = SyntheticStreamConfig(fixes=1, moving=False)
-        list(runner.run(synthetic_reads(scene, config, rng=8)))
-        reader_name, epc = next(iter(runner.bank._pairs))
-        with obs.observed() as state:
-            runner.pair_spectrum(reader_name, epc)
-            skipped = state.registry.counter("dsp.incremental.skipped")
-            assert skipped.value == 0.0
-
-    def test_rank_one_update_fires_on_single_sweep_windows(self, tiny_tracking):
-        scene, dwatch = tiny_tracking
-        config, stream_config = single_sweep_stream(scene)
-        with obs.observed() as state:
-            runner = StreamRunner(dwatch, stream_config)
-            fixes = list(runner.run(synthetic_reads(scene, config, rng=14)))
-            updates = state.registry.counter("dsp.incremental.updates")
-            assert updates.value > 0.0
-        assert len(fixes) == config.fixes
-
-        full = StreamRunner(
-            dwatch,
-            StreamConfig(
-                window=WindowConfig(sweeps_per_window=1), incremental=False
-            ),
-        )
-        reference = list(full.run(synthetic_reads(scene, config, rng=14)))
-        assert len(reference) == len(fixes)
-        for a, b in zip(fixes, reference):
-            assert a.position == b.position
-            assert a.predicted_only == b.predicted_only
-        # The exactness gate keeps incrementally-updated spectra within
-        # the drift tolerance of a full recompute.
-        for reader_name, epc in runner.bank._pairs:
-            incremental = runner.pair_spectrum(reader_name, epc)
-            recomputed = full.pair_spectrum(reader_name, epc)
-            np.testing.assert_allclose(
-                incremental.values, recomputed.values, rtol=1e-6, atol=1e-10
-            )
-
-    def test_forced_drift_rejects_every_update(self, tiny_tracking):
-        scene, dwatch = tiny_tracking
-        config, stream_config = single_sweep_stream(scene)
-        with obs.observed() as state:
-            runner = StreamRunner(dwatch, stream_config)
-            runner.drift_tolerance = 0.0
-            fixes = list(runner.run(synthetic_reads(scene, config, rng=14)))
-            fallbacks = state.registry.counter("dsp.incremental.fallbacks")
-            updates = state.registry.counter("dsp.incremental.updates")
-            # Zero tolerance: every proposed rank-1 factorization fails
-            # the gate and falls back to the exact full recompute.
-            assert fallbacks.value > 0.0
-            assert updates.value == 0.0
-        full = StreamRunner(
-            dwatch,
-            StreamConfig(
-                window=WindowConfig(sweeps_per_window=1), incremental=False
-            ),
-        )
-        reference = list(full.run(synthetic_reads(scene, config, rng=14)))
-        for a, b in zip(fixes, reference):
-            assert a.position == b.position
-
-    def test_multi_sweep_stream_is_identical_with_toggle(self, tracking):
-        # Default windows fold many columns at once: the rank-1 branch
-        # never engages and the cache only ever returns spectra a full
-        # recompute just produced — output must be bit-identical.
-        scene, dwatch = tracking
-        config = SyntheticStreamConfig(fixes=3, moving=False)
-        on = list(
-            StreamRunner(dwatch, StreamConfig(incremental=True)).run(
-                synthetic_reads(scene, config, rng=8)
-            )
-        )
-        off = list(
-            StreamRunner(dwatch, StreamConfig(incremental=False)).run(
-                synthetic_reads(scene, config, rng=8)
-            )
-        )
-        assert len(on) == len(off) == config.fixes
-        for a, b in zip(on, off):
-            assert a.position == b.position
-            assert a.predicted_only == b.predicted_only
-            assert a.raw_estimates == b.raw_estimates

@@ -31,11 +31,6 @@ RL009     No blocking call (file/socket I/O, ``time.sleep``,
           ``subprocess``, joining a thread) while holding a lock.
 RL010     ``threading.Thread`` construction is daemon-explicit and the
           thread is joined or registered for shutdown.
-RL011     Dense kernels inside ``src/repro/dsp/`` route through the
-          array-backend layer: no direct ``np.linalg.eigh`` /
-          ``np.linalg.eigvalsh`` / ``np.einsum`` outside
-          ``dsp/backend.py`` (a deliberate NumPy pin is justified with
-          a ``# reprolint: disable=RL011`` comment).
 ========  ==============================================================
 
 RL007-RL010 are cross-module: they consume the two-pass project model
@@ -69,14 +64,7 @@ RULES: Dict[str, str] = {
     "RL008": "lock-order inversion / nested acquisition of the same lock",
     "RL009": "blocking call while holding a lock",
     "RL010": "thread without explicit daemon= or without join/registration",
-    "RL011": "direct dense kernel in dsp/ (route through repro.dsp.backend)",
 }
-
-#: Dense primitives RL011 pins to the backend layer: the batched hot
-#: path dispatches these through ``repro.dsp.backend`` so CuPy/torch
-#: can take them over; a direct NumPy call silently opts out.
-_DENSE_LINALG = frozenset({"eigh", "eigvalsh"})
-_DENSE_TOPLEVEL = frozenset({"einsum"})
 
 #: numpy.random attributes that talk to the legacy global-state API (or
 #: construct the legacy RandomState).  ``Generator``/``SeedSequence``/
@@ -247,20 +235,10 @@ class _Checker(ast.NodeVisitor):
         # Function names imported directly from numpy / math / numpy.random.
         self.direct_trig: Set[str] = set()
         self.direct_converters: Set[str] = set()
-        # Names imported straight off numpy/numpy.linalg that RL011
-        # watches (``from numpy.linalg import eigh`` and friends).
-        self.direct_dense: Set[str] = set()
-        self.linalg_aliases: Set[str] = set()
         self._function_depth = 0
         self._in_rng_module = _path_endswith(path, "utils/rng.py")
         self._in_angles_module = _path_endswith(path, "utils/angles.py")
-        parts = PurePosixPath(path).parts
-        self._in_repro = "repro" in parts
-        self._rl011_scope = (
-            self._in_repro
-            and "dsp" in parts
-            and not _path_endswith(path, "dsp/backend.py")
-        )
+        self._in_repro = "repro" in PurePosixPath(path).parts
 
     # -- reporting ----------------------------------------------------
 
@@ -289,8 +267,6 @@ class _Checker(ast.NodeVisitor):
                     self.numpy_aliases.add(bound)
             elif alias.name == "math":
                 self.math_aliases.add(bound)
-            elif alias.name == "numpy.linalg" and alias.asname is not None:
-                self.linalg_aliases.add(bound)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -300,17 +276,10 @@ class _Checker(ast.NodeVisitor):
             if module == "numpy":
                 if alias.name == "random":
                     self.numpy_random_aliases.add(bound)
-                elif alias.name == "linalg":
-                    self.linalg_aliases.add(bound)
                 elif alias.name in _TRIG_NAMES:
                     self.direct_trig.add(bound)
                 elif alias.name in _ANGLE_CONVERTERS:
                     self.direct_converters.add(bound)
-                elif alias.name in _DENSE_TOPLEVEL:
-                    self.direct_dense.add(bound)
-            elif module == "numpy.linalg":
-                if alias.name in _DENSE_LINALG:
-                    self.direct_dense.add(bound)
             elif module == "math":
                 if alias.name in _TRIG_NAMES:
                     self.direct_trig.add(bound)
@@ -370,48 +339,7 @@ class _Checker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self._check_rl002_call(node)
         self._check_rl003_call(node)
-        self._check_rl011_call(node)
         self.generic_visit(node)
-
-    def _check_rl011_call(self, node: ast.Call) -> None:
-        """Direct dense kernels in ``dsp/`` modules other than backend.py."""
-        if not self._rl011_scope:
-            return
-        func = node.func
-        name: Optional[str] = None
-        if isinstance(func, ast.Name) and func.id in self.direct_dense:
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            chain = _attr_chain(func)
-            if chain is None:
-                return
-            if (
-                len(chain) == 3
-                and chain[0] in self.numpy_aliases
-                and chain[1] == "linalg"
-                and chain[2] in _DENSE_LINALG
-            ):
-                name = f"linalg.{chain[2]}"
-            elif (
-                len(chain) == 2
-                and chain[0] in self.linalg_aliases
-                and chain[1] in _DENSE_LINALG
-            ):
-                name = f"linalg.{chain[1]}"
-            elif (
-                len(chain) == 2
-                and chain[0] in self.numpy_aliases
-                and chain[1] in _DENSE_TOPLEVEL
-            ):
-                name = chain[1]
-        if name is not None:
-            self._report(
-                node,
-                "RL011",
-                f"direct NumPy '{name}' inside repro.dsp; dispatch through "
-                "repro.dsp.backend (get_backend/xp) so non-NumPy backends "
-                "stay engaged, or justify the pin with a disable comment",
-            )
 
     def _check_rl002_call(self, node: ast.Call) -> None:
         func = node.func

@@ -8,19 +8,21 @@
 #   1. reprolint  — the repo's own AST linter, domain rules RL001-RL006
 #                   plus the two-pass concurrency rules RL007-RL010
 #                   (stdlib-only, always runs; JSON report kept as a CI
-#                   artifact in REPROLINT_report.json)
+#                   artifact in .check/REPROLINT_report.json)
 #   2. ruff       — general lint (skipped when not installed)
 #   3. mypy       — strict typing of the signal core (skipped when not
 #                   installed; the allowlist lives in pyproject.toml)
 #   4. smoke      — `repro stream` record -> replay round trip
 #   5. sanitizer  — REPRO_DEBUG=1 stream run; the lock-sanitizer report
-#                   must show no inversions and no unguarded accesses
+#                   (.check/SANITIZER_report.json) must show no
+#                   inversions and no unguarded accesses
 #   6. chaos      — single-reader-loss run must still emit fixes
 #   7. ops        — live /metrics scrape must pass the exposition validator
 #   8. bench      — scripts/bench.py --smoke writes .check/BENCH_pipeline.json
 #                   (report-only --compare against the committed record)
 #   9. obs bench  — scripts/bench.py --obs --smoke writes .check/BENCH_obs.json
 #  10. soak       — scripts/soak.py --smoke (bounded RSS/cardinality/queues)
+#                   writes .check/SOAK_report.json
 #  11. serve      — scripts/loadgen.py --smoke drives a shard fleet over
 #                   real TCP (kill/restore drill, zero-leakage sweep)
 #                   and writes .check/BENCH_serve.json
@@ -30,16 +32,18 @@
 #                   .check/BENCH_chaos.json
 #  13. pytest     — the tier-1 suite
 #
-# Smoke records land in the gitignored .check/ directory, so a check
-# run never overwrites the committed full-run BENCH_*.json records.
+# Reports and smoke records land in the gitignored .check/ directory,
+# so a check run never overwrites the committed full-run BENCH_*.json
+# records and leaves nothing else in the tree.
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+mkdir -p .check
 
 echo "== reprolint (domain rules RL001-RL006, concurrency rules RL007-RL010) =="
-python -m tools.reprolint src/ --format json --statistics > REPROLINT_report.json \
-    || { echo "reprolint findings (full report in REPROLINT_report.json):"; \
+python -m tools.reprolint src/ --format json --statistics > .check/REPROLINT_report.json \
+    || { echo "reprolint findings (full report in .check/REPROLINT_report.json):"; \
          python -m tools.reprolint src/ --statistics || true; exit 1; }
 
 if command -v ruff >/dev/null 2>&1; then
@@ -73,7 +77,7 @@ code = main([
     "--fixes", "2",
 ])
 assert code == 0, f"sanitized stream exited {code}"
-document = sanitizer.write_report("SANITIZER_report.json")
+document = sanitizer.write_report(".check/SANITIZER_report.json")
 assert document["enabled"], "REPRO_DEBUG gate did not engage"
 assert document["locks"], "sanitizer observed no lock activity"
 assert document["inversions"] == [], document["inversions"]
@@ -121,8 +125,6 @@ print(f"ops smoke ok: {len(fixes)} logged fixes, "
       f"{len(families)} exposed families")
 OPS_SMOKE
 
-mkdir -p .check
-
 echo "== bench smoke (perf harness writes .check/BENCH_pipeline.json) =="
 # Validates the perf-trajectory harness end to end; the smoke workload
 # is sized for gating, not for recording speedups (run bench.py without
@@ -142,7 +144,7 @@ PYTHONPATH=src python scripts/bench.py --obs --smoke --output .check/BENCH_obs.j
 
 echo "== chaos soak smoke (bounded RSS, flat cardinality, drained queues) =="
 timeout 600 env PYTHONPATH=src python scripts/soak.py --smoke \
-    --report SOAK_report.json
+    --report .check/SOAK_report.json
 
 echo "== serve smoke (TCP fleet: fixes emitted, drill passes, clean shutdown) =="
 # The load generator self-hosts a supervisor + ingest server on

@@ -151,7 +151,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--report",
-        default="SOAK_report.json",
+        default=".check/SOAK_report.json",
         help="where to write the soak report (default: %(default)s)",
     )
     args = parser.parse_args(argv)
@@ -250,6 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "failures": failures,
         "passed": not failures,
     }
+    Path(args.report).parent.mkdir(parents=True, exist_ok=True)
     with open(args.report, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

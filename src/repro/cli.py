@@ -16,7 +16,7 @@ The subcommands cover the tasks a user reaches for first:
 * ``stats``     — pretty-print a metrics snapshot written by a prior
   ``--metrics`` run (``--prefix`` to filter one series).
 * ``provenance``— inspect a ``--fix-log`` recording: who and what
-  produced each fix (readers, faults, spectral path, lineage).
+  produced each fix (readers, faults, lineage).
 * ``retain``    — age out old recordings/checkpoints under a
   TTL/size/count policy (dry-run unless ``--apply``).
 * ``serve``     — run a sharded fleet of tracking deployments behind
@@ -478,8 +478,7 @@ def _provenance_line(fix) -> str:
     faults = ",".join(p.active_faults) or "-"
     return (
         f"fix {fix.index:3d}  t={fix.time_s:.4f}s  {where}  "
-        f"{fix.quality_level:<12} path={p.spectral_path:<6} "
-        f"readers={contributing}  faults={faults}"
+        f"{fix.quality_level:<12} readers={contributing}  faults={faults}"
     )
 
 
@@ -517,23 +516,15 @@ def cmd_provenance(args: argparse.Namespace) -> int:
         origin.append(f"seed {header.seed}")
     origin_note = f", {', '.join(origin)}" if origin else ""
     print(f"fix log: {args.file} ({len(fixes)} fixes{origin_note})\n")
-    paths: Dict[str, int] = {}
     fault_kinds: Dict[str, int] = {}
     lineage: List[str] = []
     for fix in fixes:
         print(_provenance_line(fix))
         if fix.provenance is None:
             continue
-        paths[fix.provenance.spectral_path] = (
-            paths.get(fix.provenance.spectral_path, 0) + 1
-        )
         for kind in fix.provenance.active_faults:
             fault_kinds[kind] = fault_kinds.get(kind, 0) + 1
         lineage = list(fix.provenance.checkpoint_lineage)
-    path_note = (
-        "  ".join(f"{name} {count}" for name, count in sorted(paths.items()))
-        or "none"
-    )
     fault_note = (
         ", ".join(
             f"{kind} ({count} fixes)"
@@ -543,8 +534,7 @@ def cmd_provenance(args: argparse.Namespace) -> int:
     )
     lineage_note = " -> ".join(lineage) if lineage else "fresh run (no restores)"
     print(
-        f"\nspectral paths: {path_note}\n"
-        f"faults seen: {fault_note}\n"
+        f"\nfaults seen: {fault_note}\n"
         f"checkpoint lineage: {lineage_note}"
     )
     return 0

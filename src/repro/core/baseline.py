@@ -14,13 +14,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.calibration.offsets import PhaseOffsets
-from repro.dsp.batch import (
-    BatchPMusicConfig,
-    batched_pmusic_spectra,
-    config_from_estimator,
-)
-from repro.dsp.music import MusicEstimator
-from repro.dsp.pmusic import PMusicEstimator
+from repro.dsp.batch import BatchPMusicConfig, batched_pmusic_spectra
 from repro.dsp.spectrum import AngularSpectrum
 from repro.errors import LocalizationError
 from repro.rfid.reader import Reader
@@ -47,22 +41,10 @@ class SpectrumSet:
             ) from exc
 
 
-def _batchable(estimator: PMusicEstimator) -> bool:
-    """Whether the batched kernels reproduce this estimator exactly.
-
-    Only the stock estimator classes are known bit-equivalent; a
-    subclass may override any stage, so it falls back to the scalar
-    per-pair loop.
-    """
-    return type(estimator) is PMusicEstimator and type(estimator.music) is MusicEstimator
-
-
 def compute_spectra(
     measurement: Measurement,
     readers: Mapping[str, Reader],
     calibration: Optional[Mapping[str, PhaseOffsets]] = None,
-    estimators: Optional[Mapping[str, PMusicEstimator]] = None,
-    batch: bool = True,
 ) -> SpectrumSet:
     """P-MUSIC spectra for every (reader, tag) pair in a measurement.
 
@@ -77,37 +59,23 @@ def compute_spectra(
         snapshots before spectral estimation.  Omitting calibration on
         offset-corrupted data produces garbage AoA — which is exactly
         what the no-calibration baseline of Fig. 10 shows.
-    estimators:
-        Optional pre-built estimators by reader name (mainly to pin the
-        angle grid in tests); built from the array geometry otherwise.
-    batch:
-        Run each reader's tags through the batched kernels
-        (:mod:`repro.dsp.batch`) instead of one estimator call per
-        pair.  Bit-identical to the scalar path; ``False`` forces the
-        reference implementation (and subclassed estimators always use
-        it).
+
+    Pairs are grouped *across* readers by array geometry and snapshot
+    shape (the usual deployment has one geometry fleet-wide), so the
+    whole capture runs as one or two
+    :func:`~repro.dsp.batch.batched_pmusic_spectra` calls.
     """
-    result = SpectrumSet()
     corrected_all: Dict[str, Dict[str, np.ndarray]] = {}
-    computed: Dict[Tuple[str, str], AngularSpectrum] = {}
-    # (config-or-reader key, snapshot shape) -> (reader, epc) pairs, in
-    # reader-major then tag order.  Batchable pairs are grouped *across*
-    # readers whenever their estimator configs compare equal (the usual
-    # deployment: one array geometry fleet-wide), so the whole capture
-    # runs as one or two stacked-kernel calls instead of one per reader.
-    groups: Dict[object, List[Tuple[str, str]]] = {}
-    group_config: Dict[object, BatchPMusicConfig] = {}
+    # (config, snapshot shape) -> (reader, epc) pairs, in reader-major
+    # then tag order.
+    groups: Dict[Tuple[BatchPMusicConfig, Tuple[int, ...]], List[Tuple[str, str]]] = {}
     for reader_name in measurement.readers():
         if reader_name not in readers:
             raise LocalizationError(f"unknown reader {reader_name!r} in measurement")
-        reader = readers[reader_name]
-        if estimators is not None and reader_name in estimators:
-            estimator = estimators[reader_name]
-        else:
-            estimator = PMusicEstimator(
-                spacing_m=reader.array.spacing_m,
-                wavelength_m=reader.array.wavelength_m,
-            )
+        array = readers[reader_name].array
+        config = BatchPMusicConfig(
+            spacing_m=array.spacing_m, wavelength_m=array.wavelength_m
+        )
         offsets = calibration.get(reader_name) if calibration else None
         corrected: Dict[str, np.ndarray] = {}
         for epc in measurement.tags_for(reader_name):
@@ -115,32 +83,16 @@ def compute_spectra(
             if offsets is not None:
                 snapshots = offsets.apply_correction(snapshots)
             corrected[epc] = np.asarray(snapshots)
+            key = (config, corrected[epc].shape)
+            groups.setdefault(key, []).append((reader_name, epc))
         corrected_all[reader_name] = corrected
-        if batch and _batchable(estimator):
-            config = config_from_estimator(estimator)
-            # A pinned angle grid (ndarray) is unhashable; keep such
-            # readers in their own group instead of comparing arrays.
-            key_base: object = (
-                config if config.angle_grid is None else ("pinned", reader_name)
-            )
-            for epc, snapshots in corrected.items():
-                key = (key_base, snapshots.shape)
-                groups.setdefault(key, []).append((reader_name, epc))
-                group_config[key] = config
-        else:
-            computed.update(
-                {
-                    (reader_name, epc): estimator.spectrum(snapshots)
-                    for epc, snapshots in corrected.items()
-                }
-            )
-    for key, pairs in groups.items():
+    computed: Dict[Tuple[str, str], AngularSpectrum] = {}
+    for (config, _), pairs in groups.items():
         stack = np.stack([corrected_all[name][epc] for name, epc in pairs])
-        spectra = batched_pmusic_spectra(stack, group_config[key])
-        computed.update(zip(pairs, spectra))
+        computed.update(zip(pairs, batched_pmusic_spectra(stack, config)))
+    result = SpectrumSet()
     for reader_name, corrected in corrected_all.items():
         result.spectra[reader_name] = {
             epc: computed[(reader_name, epc)] for epc in corrected
         }
     return result
-

@@ -23,7 +23,7 @@ from repro.dsp.music import (
     music_spectrum_from_subspace,
 )
 from repro.dsp.bartlett import bartlett_power_spectrum, bartlett_power_at
-from repro.dsp.pmusic import PMusicEstimator, normalize_peaks
+from repro.dsp.pmusic import PMusicEstimator, config_from_estimator, normalize_peaks
 from repro.dsp.batch import (
     BatchPMusicConfig,
     batched_eigendecompose,
@@ -31,8 +31,7 @@ from repro.dsp.batch import (
     batched_pmusic_from_covariances,
     batched_pmusic_spectra,
     batched_sample_covariance,
-    batched_smoothed_covariance,
-    config_from_estimator,
+    batched_smoothed_from_full,
 )
 from repro.dsp.doppler import (
     DopplerEstimate,
@@ -71,7 +70,7 @@ __all__ = [
     "batched_pmusic_from_covariances",
     "batched_pmusic_spectra",
     "batched_sample_covariance",
-    "batched_smoothed_covariance",
+    "batched_smoothed_from_full",
     "config_from_estimator",
     "DopplerEstimate",
     "estimate_doppler",

@@ -31,9 +31,9 @@ def bartlett_spectrum_from_covariance(
 ) -> AngularSpectrum:
     """Per-direction power ``a(theta)^H R a(theta) / M^2`` from ``R``.
 
-    The covariance-domain form of Eq. 13, shared by the batch estimator
-    below and by the streaming engine's incrementally maintained
-    covariances (:mod:`repro.stream.covariance`).
+    The covariance-domain form of Eq. 13, behind
+    :func:`bartlett_power_spectrum`; P-MUSIC uses the stacked form
+    :func:`repro.dsp.batch.batched_bartlett_spectra`.
     """
     r = np.asarray(covariance, dtype=np.complex128)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -41,10 +41,7 @@ def bartlett_spectrum_from_covariance(
     m = r.shape[0]
     grid = default_angle_grid() if angle_grid is None else np.asarray(angle_grid)
     a = cached_steering_matrix(grid, m, spacing_m, wavelength_m)  # (M, G)
-    # GEMM for R a, then one contraction for sum_m conj(a) * (R a) —
-    # the exact two-step form the batched kernel
-    # (:func:`repro.dsp.batch.batched_bartlett_spectra`) stacks, so the
-    # scalar/batched bit-equality contract holds per construction.
+    # GEMM for R a, then one contraction for sum_m conj(a) * (R a).
     # The quadratic form a^H R a of a Hermitian R is mathematically real;
     # np.real only strips round-off in the imaginary storage.
     product = r @ a  # (M, G)

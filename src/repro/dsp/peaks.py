@@ -104,41 +104,19 @@ def find_spectrum_peaks(
     list of SpectrumPeak
         Peaks sorted by descending value.
     """
-    return peaks_from_values(
-        spectrum.angles, spectrum.values, min_relative_height, min_separation
-    )
-
-
-def peaks_from_values(
-    angles: np.ndarray,
-    values: np.ndarray,
-    min_relative_height: float = 0.05,
-    min_separation: float = 0.05,
-    grid_step: float = 0.0,
-) -> List[SpectrumPeak]:
-    """:func:`find_spectrum_peaks` on a bare ``(angles, values)`` pair.
-
-    The batched P-MUSIC normalizer calls this directly for every row of
-    a spectrum stack — skipping per-row :class:`AngularSpectrum`
-    construction (axis re-validation) and, via ``grid_step``, the
-    repeated mean-spacing computation, both of which dominate at small
-    grids.  Passing ``grid_step=0.0`` recomputes it exactly as
-    :func:`find_spectrum_peaks` always has.
-    """
+    values = spectrum.values
     peak_value = float(values.max())
     if peak_value <= 0.0:
         return []
-    if grid_step <= 0.0:
-        grid_step = float(np.mean(np.diff(angles)))
+    grid_step = float(np.mean(np.diff(spectrum.angles)))
     distance = max(1, int(round(min_separation / grid_step)))
-    all_indices = candidate_peak_indices(
-        values, min_relative_height * peak_value, distance
-    )
     peaks = [
         SpectrumPeak(
-            angle=float(angles[i]), value=float(values[i]), index=int(i)
+            angle=float(spectrum.angles[i]), value=float(values[i]), index=int(i)
         )
-        for i in all_indices
+        for i in candidate_peak_indices(
+            values, min_relative_height * peak_value, distance
+        )
     ]
     return sorted(peaks, key=lambda p: p.value, reverse=True)
 
@@ -172,17 +150,11 @@ def peak_regions(
     """Partition the grid into one half-open region per peak.
 
     Region boundaries sit at the minima between adjacent peaks, so each
-    grid point is attributed to the peak whose lobe it belongs to.  Used
-    by P-MUSIC's normalization function to scale every lobe to unit
-    height.
+    grid point is attributed to the peak whose lobe it belongs to —
+    the lobes P-MUSIC's ``Nor(·)`` scales to unit height (through
+    :func:`region_starts_from_indices`).
     """
-    return regions_from_values(spectrum.values, peaks)
-
-
-def regions_from_values(
-    values: np.ndarray, peaks: List[SpectrumPeak]
-) -> List[Tuple[int, int]]:
-    """:func:`peak_regions` on a bare values array (batched hot path)."""
+    values = spectrum.values
     if not peaks:
         return []
     ordered = sorted(peaks, key=lambda p: p.index)
@@ -204,10 +176,10 @@ def region_starts_from_indices(
 ) -> Optional[np.ndarray]:
     """Region start offsets of :func:`peak_regions`, from ascending indices.
 
-    Same boundary-at-the-minimum rule as :func:`regions_from_values`,
+    Same boundary-at-the-minimum rule as :func:`peak_regions`,
     returned as a start-offset array ready for ``np.maximum.reduceat``.
     Region ends are implicitly the next start (the last runs to
-    ``values.size``, which always exceeds its start), so the scalar
+    ``values.size``, which always exceeds its start), so the
     degenerate-region error reduces to a strictly-increasing check.
     ``None`` for an empty index list.
     """

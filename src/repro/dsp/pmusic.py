@@ -24,9 +24,9 @@ import numpy as np
 
 from repro import obs
 from repro.constants import DEFAULT_WAVELENGTH_M
-from repro.dsp.bartlett import bartlett_power_spectrum
+from repro.dsp.batch import BatchPMusicConfig, batched_pmusic_spectra, nor_divisors
 from repro.dsp.music import MusicEstimator
-from repro.dsp.peaks import find_spectrum_peaks, peak_regions
+from repro.dsp.peaks import find_spectrum_peaks
 from repro.dsp.spectrum import AngularSpectrum, SpectrumPeak
 from repro.errors import EstimationError
 from repro.utils.arrays import ArrayLike, FloatArray
@@ -43,18 +43,16 @@ def normalize_peaks(
     at inter-peak minima) and each region is divided by its own maximum.
     Peaks end up at exactly 1 while the angular shape of each lobe is
     preserved, removing MUSIC's probability-valued amplitudes but
-    keeping its angle information.
+    keeping its angle information.  A one-row call of
+    :func:`repro.dsp.batch.nor_divisors`.
     """
-    peaks = find_spectrum_peaks(spectrum, min_relative_height, min_separation)
-    if not peaks:
-        raise EstimationError("cannot normalize a spectrum with no peaks")
-    obs.count("pmusic.peaks_found", len(peaks))
-    values = spectrum.values.copy()
-    for start, end in peak_regions(spectrum, peaks):
-        region_max = values[start:end].max()
-        if region_max > 0.0:
-            values[start:end] = values[start:end] / region_max
-    return AngularSpectrum(spectrum.angles.copy(), values)
+    divisors = nor_divisors(
+        spectrum.values[None, :],
+        spectrum.angles,
+        min_relative_height,
+        min_separation,
+    )
+    return AngularSpectrum(spectrum.angles.copy(), spectrum.values / divisors[0])
 
 
 @dataclass
@@ -68,8 +66,9 @@ class PMusicEstimator:
     wavelength_m:
         Carrier wavelength.
     music:
-        The underlying MUSIC estimator (constructed with matching
-        geometry when omitted).
+        The MUSIC estimator whose knobs (source count, subarray size,
+        forward-backward averaging, threshold, grid) configure the MUSIC
+        stage; constructed with matching geometry when omitted.
     peak_min_relative_height, peak_min_separation:
         Peak-detection knobs forwarded to the normalization function.
     """
@@ -91,18 +90,10 @@ class PMusicEstimator:
 
     def spectrum(self, snapshots: ArrayLike) -> AngularSpectrum:
         """P-MUSIC spectrum ``Omega(theta)`` of the snapshots (Eq. 14)."""
-        with obs.span("pmusic.fusion"):
-            assert self.music is not None  # set by __post_init__
-            music_spec = self.music.spectrum(snapshots)
-            normalized = normalize_peaks(
-                music_spec, self.peak_min_relative_height, self.peak_min_separation
-            )
-            power = bartlett_power_spectrum(
-                snapshots, self.spacing_m, self.wavelength_m, normalized.angles
-            )
-            return AngularSpectrum(
-                normalized.angles.copy(), power.values * normalized.values
-            )
+        x = np.asarray(snapshots, dtype=np.complex128)
+        if x.ndim != 2:
+            raise EstimationError("snapshots must be 2-D (M, N)")
+        return batched_pmusic_spectra(x[None], config_from_estimator(self))[0]
 
     def estimate_paths(
         self, snapshots: ArrayLike, max_peaks: Optional[int] = None
@@ -117,3 +108,20 @@ class PMusicEstimator:
             peaks = peaks[:max_peaks]
         obs.count("pmusic.paths_estimated", len(peaks))
         return peaks
+
+
+def config_from_estimator(estimator: PMusicEstimator) -> BatchPMusicConfig:
+    """The :class:`~repro.dsp.batch.BatchPMusicConfig` of an estimator."""
+    music = estimator.music
+    assert music is not None  # set by PMusicEstimator.__post_init__
+    return BatchPMusicConfig(
+        spacing_m=estimator.spacing_m,
+        wavelength_m=estimator.wavelength_m,
+        num_sources=music.num_sources,
+        subarray_size=music.subarray_size,
+        forward_backward=music.forward_backward,
+        source_threshold_ratio=music.source_threshold_ratio,
+        peak_min_relative_height=estimator.peak_min_relative_height,
+        peak_min_separation=estimator.peak_min_separation,
+        angle_grid=music.angle_grid if music.angle_grid is not None else estimator.angle_grid,
+    )

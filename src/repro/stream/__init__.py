@@ -17,9 +17,8 @@ that online service:
   groups reads by reader/tag/sweep into snapshot windows, with a
   lateness bound for out-of-order arrivals.
 * :mod:`repro.stream.covariance` — exponentially-weighted rank-1
-  covariance updates per (reader, tag) and the covariance-domain
-  P-MUSIC spectrum, so spectra refresh per window without recomputing
-  from scratch.
+  covariance updates per (reader, tag), so spectra refresh per window
+  from ``R`` without recomputing it from scratch.
 * :mod:`repro.stream.drift` — slow EWMA adaptation of the empty-area
   baseline spectra with a freeze-while-detecting guard.
 * :mod:`repro.stream.health` — per-reader health tracking and the
@@ -32,7 +31,7 @@ that online service:
 * :mod:`repro.stream.replay` — versioned JSONL recording and replay of
   read streams.
 * :mod:`repro.stream.provenance` — the per-fix audit record (readers,
-  faults, spectral path, checkpoint lineage), the versioned fix-log
+  faults, checkpoint lineage), the versioned fix-log
   JSONL format behind ``repro stream --fix-log`` / ``repro
   provenance``, and the bounded recent-fix ring the ops endpoint
   serves.
@@ -77,7 +76,6 @@ from repro.stream.provenance import (
     FIXLOG_KIND,
     FIXLOG_SCHEMA,
     READER_ROLES,
-    SPECTRAL_PATHS,
     FixLogHeader,
     FixLogWriter,
     FixProvenance,
@@ -148,7 +146,6 @@ __all__ = [
     "RetentionPlan",
     "RetentionPolicy",
     "RetryPolicy",
-    "SPECTRAL_PATHS",
     "SnapshotWindow",
     "StreamConfig",
     "StreamRunner",

@@ -124,7 +124,7 @@ class TrackFix:
         unchanged.
     provenance:
         Optional audit record of what produced this fix (contributing
-        readers, active faults, spectral path, checkpoint lineage; see
+        readers, active faults, checkpoint lineage; see
         :class:`repro.stream.provenance.FixProvenance`).  Metadata
         only: excluded from equality and repr so fixes compare by
         their observable output alone.

@@ -1,12 +1,11 @@
-"""Per-fix provenance: which readers, faults and code paths made a fix.
+"""Per-fix provenance: which readers, faults and checkpoints made a fix.
 
 A tracker that only emits positions is not auditable: when a fix
 drifts in production you need to know *what produced it* — which
 readers' evidence entered the likelihood product, what the fleet's
 health ladder looked like, which chaos faults were active over the
-window, whether the batched or the scalar spectral chain ran, and
-which checkpoint lineage the process resumed from.  This module is
-that record:
+window, and which checkpoint lineage the process resumed from.  This
+module is that record:
 
 * :class:`ReaderProvenance` — one reader's role in one fix
   (``contributed`` / ``excluded`` / ``failed`` / ``silent``) plus its
@@ -57,9 +56,6 @@ FIXLOG_KIND = "dwatch-fixes"
 #: window; ``silent`` — it delivered no usable spectra at all.
 READER_ROLES: Tuple[str, ...] = ("contributed", "excluded", "failed", "silent")
 
-#: Which spectral implementation produced the window's spectra.
-SPECTRAL_PATHS: Tuple[str, ...] = ("batch", "scalar", "mixed")
-
 PathLike = Union[str, Path]
 
 
@@ -102,13 +98,6 @@ class FixProvenance:
         The assembler's event-time watermark when the window closed.
     lateness_s:
         The assembler's out-of-order admission bound.
-    spectral_path:
-        ``batch`` when every reader ran the batched kernels,
-        ``scalar`` when every reader replayed the reference chain,
-        ``mixed`` otherwise.
-    scalar_fallbacks:
-        Readers whose batched pass failed and fell back to the scalar
-        reference chain this window.
     checkpoint_lineage:
         Identities of the checkpoints this run restored from, oldest
         first (empty for a never-restored process).
@@ -119,8 +108,6 @@ class FixProvenance:
     active_faults: Tuple[str, ...] = ()
     watermark_s: Optional[float] = None
     lateness_s: float = 0.0
-    spectral_path: str = "batch"
-    scalar_fallbacks: Tuple[str, ...] = ()
     checkpoint_lineage: Tuple[str, ...] = ()
 
     @property
@@ -138,8 +125,6 @@ class FixProvenance:
             "active_faults": list(self.active_faults),
             "watermark_s": self.watermark_s,
             "lateness_s": self.lateness_s,
-            "spectral_path": self.spectral_path,
-            "scalar_fallbacks": list(self.scalar_fallbacks),
             "checkpoint_lineage": list(self.checkpoint_lineage),
         }
 
@@ -159,10 +144,6 @@ class FixProvenance:
                 None if raw_watermark is None else float(raw_watermark)
             ),
             lateness_s=float(record.get("lateness_s", 0.0)),
-            spectral_path=str(record.get("spectral_path", "batch")),
-            scalar_fallbacks=tuple(
-                str(n) for n in record.get("scalar_fallbacks", [])
-            ),
             checkpoint_lineage=tuple(
                 str(c) for c in record.get("checkpoint_lineage", [])
             ),

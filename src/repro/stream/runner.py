@@ -56,11 +56,7 @@ from repro.geometry.point import Point
 from repro.dsp.batch import BatchPMusicConfig, batched_pmusic_from_covariances
 from repro.rfid.reader import Reader
 from repro.sim.measurement import Measurement
-from repro.stream.covariance import (
-    CovarianceBank,
-    EwCovariance,
-    pmusic_spectrum_from_covariance,
-)
+from repro.stream.covariance import CovarianceBank
 from repro.stream.drift import BaselineDriftTracker
 from repro.stream.events import FixQuality, TagRead, TrackFix
 from repro.stream.health import HealthConfig, HealthTracker
@@ -286,7 +282,7 @@ class StreamRunner:
         with obs.span(
             "stream.window", index=window.index, sweeps=window.sweeps
         ) as sp:
-            online, failed, fallbacks = self._window_spectra(window)
+            online, failed = self._window_spectra(window)
             for reader_name, error in failed:
                 self.health.note_violation(reader_name, error)
             self.health.observe_window(online.spectra.keys())
@@ -331,9 +327,7 @@ class StreamRunner:
             )
             if quality.degraded:
                 obs.count("stream.fixes.degraded")
-            provenance = self._fix_provenance(
-                window, online, included, failed, fallbacks
-            )
+            provenance = self._fix_provenance(window, online, included, failed)
             self.fixes_emitted += 1
             obs.count("stream.fixes")
             obs.count("stream.fixes.by_quality", labels={"level": quality.level})
@@ -355,8 +349,7 @@ class StreamRunner:
         window: SnapshotWindow,
         online: SpectrumSet,
         included: SpectrumSet,
-        failed: List[Tuple[str, ReproError]],
-        fallbacks: List[str],
+        failed: List[Tuple[str, Exception]],
     ) -> FixProvenance:
         """The audit record of one window: who and what made the fix.
 
@@ -385,12 +378,6 @@ class StreamRunner:
             obs.count(
                 "stream.reader.windows", labels={"reader": name, "role": role}
             )
-        if not fallbacks:
-            spectral_path = "batch"
-        elif produced and produced <= set(fallbacks):
-            spectral_path = "scalar"
-        else:
-            spectral_path = "mixed"
         active_faults: Tuple[str, ...] = ()
         if self.fault_probe is not None:
             active_faults = tuple(
@@ -402,8 +389,6 @@ class StreamRunner:
             active_faults=active_faults,
             watermark_s=self.assembler.watermark,
             lateness_s=self.assembler.lateness_s,
-            spectral_path=spectral_path,
-            scalar_fallbacks=tuple(sorted(fallbacks)),
             checkpoint_lineage=tuple(self.lineage),
         )
 
@@ -463,7 +448,7 @@ class StreamRunner:
 
     def _window_spectra(
         self, window: SnapshotWindow
-    ) -> Tuple[SpectrumSet, List[Tuple[str, ReproError]], List[str]]:
+    ) -> Tuple[SpectrumSet, List[Tuple[str, Exception]]]:
         """Fold the window into the covariance bank; spectra from ``R``.
 
         The calibration correction is a per-antenna diagonal multiply,
@@ -471,49 +456,29 @@ class StreamRunner:
         updates is algebraically identical to correcting a batch
         matrix.
 
-        A reader's tags run through the stacked covariance-domain
-        kernels (:func:`repro.dsp.batch.batched_pmusic_from_covariances`)
-        as one batch — bit-identical to the per-tag reference chain.
-        The bank updates are transactional: every pair is snapshotted
-        first, and on *any* failure the bank rolls back and the
-        reference loop replays, so failure semantics (which tags'
-        covariances advanced before the error) match the scalar path
-        exactly.
-
         Failures are isolated per reader: a glitched reader whose
         snapshots break the spectral chain (contract violation, rank
-        collapse) is reported in the second return value — and its
-        partial spectra withheld — instead of killing the whole
-        window.  The health tracker turns repeated failures into a
-        quarantine.
-
-        The third return value names the readers whose batched pass
-        failed and fell back to the scalar reference chain — provenance
-        and the ``stream.spectra.scalar_fallback`` counter both feed
-        off it.
+        collapse, a spectrum with no peaks) is reported in the second
+        return value — and its spectra withheld — instead of killing
+        the whole window.  The health tracker turns repeated failures
+        into a quarantine.
         """
         online = SpectrumSet()
-        failed: List[Tuple[str, ReproError]] = []
-        fallbacks: List[str] = []
+        failed: List[Tuple[str, Exception]] = []
         measurement = window.measurement
         for reader_name in measurement.readers():
             reader = self.dwatch.readers[reader_name]
             offsets = self.dwatch.calibration.get(reader_name)
             try:
-                per_tag, used_scalar = self._reader_spectra(
+                online.spectra[reader_name] = self._reader_spectra(
                     reader_name, reader, measurement, offsets
                 )
-            except ReproError as exc:
+            except (ReproError, ValueError, ArithmeticError) as exc:
+                # Everything the spectral chain can raise: the repro
+                # taxonomy, shape/eigensolver failures (LinAlgError is
+                # a ValueError subclass), and floating-point faults.
                 failed.append((reader_name, exc))
-                continue
-            if used_scalar:
-                fallbacks.append(reader_name)
-                obs.count(
-                    "stream.spectra.scalar_fallback",
-                    labels={"reader": reader_name},
-                )
-            online.spectra[reader_name] = per_tag
-        return online, failed, fallbacks
+        return online, failed
 
     def _reader_spectra(
         self,
@@ -521,79 +486,27 @@ class StreamRunner:
         reader: Reader,
         measurement: Measurement,
         offsets: Optional[PhaseOffsets],
-    ) -> Tuple[Dict[str, AngularSpectrum], bool]:
-        """One reader's per-tag spectra, batched when possible.
+    ) -> Dict[str, AngularSpectrum]:
+        """Fold every tag of one reader, then one stacked P-MUSIC call.
 
-        The flag reports whether the scalar reference chain produced
-        the spectra (``True`` only after a batched-pass rollback).
+        Every pair folds the window before the spectra are computed,
+        so a failing pair leaves no other pair of the reader behind.
         """
-        saved: List[Tuple[EwCovariance, Tuple[ComplexArray, float, int]]] = []
-        try:
-            epcs: List[str] = []
-            covariances: List[ComplexArray] = []
-            for epc in measurement.tags_for(reader_name):
-                snapshots = measurement.matrix(reader_name, epc)
-                if offsets is not None:
-                    snapshots = offsets.apply_correction(snapshots)
-                estimator = self.bank.pair(
-                    reader_name, epc, int(snapshots.shape[0])
-                )
-                saved.append((estimator, estimator.state_snapshot()))
-                estimator.update_matrix(snapshots)
-                epcs.append(epc)
-                covariances.append(estimator.covariance())
-            return self._batched_tag_spectra(reader, epcs, covariances), False
-        except (ReproError, ValueError, ArithmeticError):
-            # Everything the spectral chain can raise: the repro
-            # taxonomy, shape/eigensolver failures (LinAlgError is a
-            # ValueError subclass), and floating-point faults.  Roll
-            # the bank back and replay the reference loop: its failure
-            # point (or success) defines the semantics.
-            for estimator, state in saved:
-                estimator.state_restore(state)
-            scalar = self._scalar_reader_spectra(
-                reader_name, reader, measurement, offsets
-            )
-            return scalar, True
-
-    def _batched_tag_spectra(
-        self, reader: Reader, epcs: List[str], covariances: List[ComplexArray]
-    ) -> Dict[str, AngularSpectrum]:
-        """Stacked P-MUSIC over uniform-size covariance groups."""
-        config = BatchPMusicConfig(
-            spacing_m=reader.array.spacing_m,
-            wavelength_m=reader.array.wavelength_m,
-        )
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for position, covariance in enumerate(covariances):
-            groups.setdefault(covariance.shape, []).append(position)
-        computed: Dict[str, AngularSpectrum] = {}
-        for positions in groups.values():
-            stack = np.stack([covariances[i] for i in positions])
-            spectra = batched_pmusic_from_covariances(stack, config)
-            computed.update(
-                {epcs[i]: spectrum for i, spectrum in zip(positions, spectra)}
-            )
-        return {epc: computed[epc] for epc in epcs}
-
-    def _scalar_reader_spectra(
-        self,
-        reader_name: str,
-        reader: Reader,
-        measurement: Measurement,
-        offsets: Optional[PhaseOffsets],
-    ) -> Dict[str, AngularSpectrum]:
-        """The reference per-tag chain (also the semantics oracle)."""
-        per_tag: Dict[str, AngularSpectrum] = {}
+        epcs: List[str] = []
+        covariances: List[ComplexArray] = []
         for epc in measurement.tags_for(reader_name):
             snapshots = measurement.matrix(reader_name, epc)
             if offsets is not None:
                 snapshots = offsets.apply_correction(snapshots)
             estimator = self.bank.pair(reader_name, epc, int(snapshots.shape[0]))
             estimator.update_matrix(snapshots)
-            per_tag[epc] = pmusic_spectrum_from_covariance(
-                estimator.covariance(),
-                spacing_m=reader.array.spacing_m,
-                wavelength_m=reader.array.wavelength_m,
-            )
-        return per_tag
+            epcs.append(epc)
+            covariances.append(estimator.covariance())
+        if not covariances:
+            return {}
+        config = BatchPMusicConfig(
+            spacing_m=reader.array.spacing_m,
+            wavelength_m=reader.array.wavelength_m,
+        )
+        spectra = batched_pmusic_from_covariances(np.stack(covariances), config)
+        return dict(zip(epcs, spectra))

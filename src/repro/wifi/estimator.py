@@ -6,8 +6,10 @@ aperture.  OFDM CSI offers a better decorrelator for free: each path's
 delay rotates its phase differently across subcarriers, so stacking
 subcarriers as "snapshots" yields a covariance whose signal subspace
 spans the individual path steering vectors at full aperture.  On top of
-that covariance the estimator is plain P-MUSIC: normalized MUSIC for
-angles, Bartlett for per-direction power.
+that covariance the estimator is plain P-MUSIC without smoothing
+(:func:`repro.dsp.batch.batched_pmusic_from_covariances` with
+``subarray_size = M``): normalized MUSIC for angles, Bartlett for
+per-direction power.
 """
 
 from __future__ import annotations
@@ -17,14 +19,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.dsp.bartlett import bartlett_power_spectrum
-from repro.dsp.music import (
-    eigendecompose,
-    estimate_num_sources,
-    music_spectrum_from_subspace,
-)
+from repro.dsp.batch import BatchPMusicConfig, batched_pmusic_from_covariances
 from repro.dsp.peaks import find_spectrum_peaks
-from repro.dsp.pmusic import normalize_peaks
 from repro.dsp.spectrum import AngularSpectrum, SpectrumPeak
 from repro.errors import EstimationError
 
@@ -59,28 +55,15 @@ class WidebandPMusic:
     def spectrum(self, reports: np.ndarray) -> AngularSpectrum:
         """The P-MUSIC spectrum of a CSI report block."""
         r = self.covariance(reports)
-        eigenvalues, eigenvectors = eigendecompose(r)
-        p = self.num_sources
-        if p is None:
-            p = estimate_num_sources(
-                eigenvalues,
-                self.source_threshold_ratio,
-                max_sources=r.shape[0] - 1,
-            )
-        un = eigenvectors[:, p:]
-        music = music_spectrum_from_subspace(
-            un, self.spacing_m, self.wavelength_m, self.angle_grid
+        config = BatchPMusicConfig(
+            spacing_m=self.spacing_m,
+            wavelength_m=self.wavelength_m,
+            num_sources=self.num_sources,
+            subarray_size=r.shape[0],
+            source_threshold_ratio=self.source_threshold_ratio,
+            angle_grid=self.angle_grid,
         )
-        normalized = normalize_peaks(music)
-        power = bartlett_power_spectrum(
-            self._flatten(reports),
-            self.spacing_m,
-            self.wavelength_m,
-            normalized.angles,
-        )
-        return AngularSpectrum(
-            normalized.angles.copy(), power.values * normalized.values
-        )
+        return batched_pmusic_from_covariances(r[None], config)[0]
 
     def estimate_paths(
         self, reports: np.ndarray, max_peaks: Optional[int] = None

@@ -217,7 +217,8 @@ class TestStreamTelemetryFlags:
         out = capsys.readouterr().out
         assert "fix log:" in out
         assert "environment table" in out
-        assert "spectral paths:" in out
+        assert "faults seen:" in out
+        assert "path=" not in out
 
     def test_provenance_json_mode_is_machine_readable(self, tmp_path, capsys):
         fix_log = tmp_path / "fixes.jsonl"
@@ -227,11 +228,7 @@ class TestStreamTelemetryFlags:
         assert lines
         for line in lines:
             record = json.loads(line)
-            assert record["provenance"]["spectral_path"] in (
-                "batch",
-                "scalar",
-                "mixed",
-            )
+            assert record["provenance"]["window_index"] == record["index"]
 
     def test_provenance_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["provenance", str(tmp_path / "gone.jsonl")]) == EXIT_ERROR

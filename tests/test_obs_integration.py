@@ -77,13 +77,10 @@ class TestPipelineTelemetry:
         assert "pipeline.baseline" in names
         assert "pipeline.evidence" in names
         assert "pipeline.localize" in names
-        # And the inner stages: the spectral chain runs on the batched
-        # fast path (batch.* spans) with the scalar music.*/pmusic.*
-        # spans as its reference twin — either naming covers the stage.
-        assert "batch.eigendecomposition" in names or (
-            "music.eigendecomposition" in names
-        )
-        assert "batch.pmusic" in names or "pmusic.fusion" in names
+        # And the inner stages: every P-MUSIC spectrum comes from the
+        # batched kernel.
+        assert "batch.eigendecomposition" in names
+        assert "batch.pmusic" in names
         assert "calibration.ga" in names
         assert "calibration.polish" in names
         assert "grid.modes" in names

@@ -1,11 +1,15 @@
-"""Property-based equivalence: batched spectral kernels == scalar chain.
+"""Property-based equivalence: the batched P-MUSIC kernel == textbook Eq. 14.
 
-The batched fast path (:mod:`repro.dsp.batch`) is only allowed to exist
-because it reproduces the scalar estimators bit for bit; these tests
-drive that claim with randomized stacks (hypothesis) and with the seed
-scenes the acceptance hash runs on.  Every comparison is exact array
-equality — not ``allclose`` — because the fix pipeline's caches and the
-CLI stdout hash both key on exact values.
+:mod:`repro.dsp.batch` is the one implementation of Eq. 14; these tests
+drive it with randomized stacks (hypothesis) and with a seed scene, and
+compare every spectrum against the per-item oracle in
+``tests/pmusic_oracle.py`` to a tolerance scaled to that spectrum's
+peak.  Smoothing from the full covariance and smoothing from snapshots
+agree only to rounding, so exact equality is not expected there.  One
+test keeps exact equality: a stack gives the same spectra as its items
+run one at a time, because the fix pipeline batches pairs differently
+on different paths (per reader in the stream, fleet-wide in
+``compute_spectra``).
 """
 
 import numpy as np
@@ -20,7 +24,6 @@ from repro.dsp.batch import (
     batched_pmusic_from_covariances,
     batched_pmusic_spectra,
     batched_sample_covariance,
-    config_from_estimator,
 )
 from repro.dsp.covariance import sample_covariance
 from repro.dsp.pmusic import PMusicEstimator
@@ -29,12 +32,16 @@ from repro.geometry.point import Point
 from repro.sim.environments import hall_scene
 from repro.sim.measurement import MeasurementSession
 from repro.sim.target import human_target
-from repro.stream.covariance import (
-    EwCovariance,
-    pmusic_spectrum_from_covariance,
-)
+from repro.stream.covariance import EwCovariance
+from tests.pmusic_oracle import pmusic_oracle
 
 HALF_WAVE = DEFAULT_WAVELENGTH_M / 2.0
+CONFIG = BatchPMusicConfig(spacing_m=HALF_WAVE, wavelength_m=DEFAULT_WAVELENGTH_M)
+
+#: Largest kernel-vs-oracle difference allowed, relative to the
+#: spectrum's peak.  Over 3,000 random single-item draws the largest
+#: observed difference was 2e-11 of the peak.
+PEAK_RTOL = 1e-8
 
 seeds = st.integers(min_value=0, max_value=2**31)
 antenna_counts = st.integers(min_value=3, max_value=8)
@@ -66,30 +73,40 @@ def _random_stack(seed, n, m, s):
     return np.stack(stack)
 
 
+def _oracles(stack, **knobs):
+    """Per-item oracle spectra, or ``None`` when any item has none."""
+    try:
+        return [
+            pmusic_oracle(x, HALF_WAVE, DEFAULT_WAVELENGTH_M, **knobs) for x in stack
+        ]
+    except ValueError:
+        return None
+
+
+def _assert_close_to_oracle(got, want):
+    grid, values = want
+    np.testing.assert_array_equal(got.angles, grid)
+    np.testing.assert_allclose(
+        got.values, values, rtol=0.0, atol=PEAK_RTOL * values.max()
+    )
+
+
 class TestSnapshotDomainEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(seeds, stack_sizes, antenna_counts, snapshot_counts)
     def test_batched_equals_scalar_estimator(self, seed, n, m, s):
         stack = _random_stack(seed, n, m, s)
-        estimator = PMusicEstimator(spacing_m=HALF_WAVE)
-        config = config_from_estimator(estimator)
-        scalar = []
-        error = None
-        for item in stack:
-            try:
-                scalar.append(estimator.spectrum(item))
-            except EstimationError as exc:
-                error = exc
-                break
-        if error is not None:
+        oracle = _oracles(stack)
+        if oracle is None:
+            # Raise parity: a stack with an item the oracle cannot
+            # normalize (no noise subspace, no peak) raises.
             with pytest.raises(EstimationError):
-                batched_pmusic_spectra(stack, config)
+                batched_pmusic_spectra(stack, CONFIG)
             return
-        batched = batched_pmusic_spectra(stack, config)
-        assert len(batched) == len(scalar)
-        for got, want in zip(batched, scalar):
-            assert np.array_equal(got.angles, want.angles)
-            assert np.array_equal(got.values, want.values)
+        batched = batched_pmusic_spectra(stack, CONFIG)
+        assert len(batched) == n
+        for got, want in zip(batched, oracle):
+            _assert_close_to_oracle(got, want)
 
     @settings(max_examples=20, deadline=None)
     @given(seeds, stack_sizes, antenna_counts, snapshot_counts)
@@ -103,16 +120,34 @@ class TestSnapshotDomainEquivalence:
     @given(seeds, antenna_counts, snapshot_counts)
     def test_pinned_sources_and_no_forward_backward(self, seed, m, s):
         stack = _random_stack(seed, 3, m, s)
-        from repro.dsp.music import MusicEstimator
-
-        music = MusicEstimator(
-            spacing_m=HALF_WAVE, num_sources=1, forward_backward=False
+        config = BatchPMusicConfig(
+            spacing_m=HALF_WAVE,
+            wavelength_m=DEFAULT_WAVELENGTH_M,
+            num_sources=1,
+            forward_backward=False,
         )
-        estimator = PMusicEstimator(spacing_m=HALF_WAVE, music=music)
-        config = config_from_estimator(estimator)
-        scalar = [estimator.spectrum(item) for item in stack]
-        batched = batched_pmusic_spectra(stack, config)
-        for got, want in zip(batched, scalar):
+        oracle = _oracles(stack, num_sources=1, forward_backward=False)
+        if oracle is None:
+            with pytest.raises(EstimationError):
+                batched_pmusic_spectra(stack, config)
+            return
+        for got, want in zip(batched_pmusic_spectra(stack, config), oracle):
+            _assert_close_to_oracle(got, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seeds, stack_sizes, antenna_counts, snapshot_counts)
+    def test_stack_equals_single_item_calls(self, seed, n, m, s):
+        # Exact: batching is a dispatch optimization, so a pair's
+        # spectrum cannot depend on which other pairs share its stack.
+        stack = _random_stack(seed, n, m, s)
+        estimator = PMusicEstimator(spacing_m=HALF_WAVE)
+        try:
+            batched = batched_pmusic_spectra(stack, CONFIG)
+        except EstimationError:
+            return
+        for item, got in zip(stack, batched):
+            want = estimator.spectrum(item)
+            assert np.array_equal(got.angles, want.angles)
             assert np.array_equal(got.values, want.values)
 
 
@@ -121,40 +156,29 @@ class TestCovarianceDomainEquivalence:
     @given(seeds, stack_sizes, antenna_counts, snapshot_counts)
     def test_batched_equals_stream_reference(self, seed, n, m, s):
         stack = _random_stack(seed, n, m, s)
+        decay = 0.8
         covariances = []
         for item in stack:
-            estimator = EwCovariance(num_antennas=m, decay=0.8)
+            estimator = EwCovariance(num_antennas=m, decay=decay)
             estimator.update_matrix(item)
             covariances.append(estimator.covariance())
-        config = BatchPMusicConfig(
-            spacing_m=HALF_WAVE, wavelength_m=DEFAULT_WAVELENGTH_M
-        )
-        scalar = []
-        error = None
-        for covariance in covariances:
-            try:
-                scalar.append(
-                    pmusic_spectrum_from_covariance(
-                        covariance,
-                        spacing_m=HALF_WAVE,
-                        wavelength_m=DEFAULT_WAVELENGTH_M,
-                    )
-                )
-            except EstimationError as exc:
-                error = exc
-                break
-        if error is not None:
+        # The EW covariance is the sample covariance of the columns
+        # scaled by sqrt(S * decay^age / weight).
+        ages = np.arange(s - 1, -1, -1)
+        weight = np.sum(decay**ages)
+        scaled = stack * np.sqrt(s * decay**ages / weight)[None, None, :]
+        oracle = _oracles(scaled)
+        if oracle is None:
             with pytest.raises(EstimationError):
-                batched_pmusic_from_covariances(np.stack(covariances), config)
+                batched_pmusic_from_covariances(np.stack(covariances), CONFIG)
             return
-        batched = batched_pmusic_from_covariances(np.stack(covariances), config)
-        for got, want in zip(batched, scalar):
-            assert np.array_equal(got.angles, want.angles)
-            assert np.array_equal(got.values, want.values)
+        batched = batched_pmusic_from_covariances(np.stack(covariances), CONFIG)
+        for got, want in zip(batched, oracle):
+            _assert_close_to_oracle(got, want)
 
 
-class TestSeedSceneExactEquality:
-    def test_hall_scene_batch_equals_scalar(self):
+class TestSeedSceneOracle:
+    def test_hall_scene_batch_matches_oracle(self):
         scene = hall_scene(rng=5)
         readers = {reader.name: reader for reader in scene.readers}
         session = MeasurementSession(scene, rng=6)
@@ -163,13 +187,15 @@ class TestSeedSceneExactEquality:
         )
         for capture in (session.capture(), session.capture([target])):
             batched = compute_spectra(capture, readers)
-            scalar = compute_spectra(capture, readers, batch=False)
             pairs = 0
             for reader_name in capture.readers():
+                array = readers[reader_name].array
                 for epc in capture.tags_for(reader_name):
-                    got = batched.for_pair(reader_name, epc)
-                    want = scalar.for_pair(reader_name, epc)
-                    assert np.array_equal(got.angles, want.angles)
-                    assert np.array_equal(got.values, want.values)
+                    want = pmusic_oracle(
+                        capture.matrix(reader_name, epc),
+                        array.spacing_m,
+                        array.wavelength_m,
+                    )
+                    _assert_close_to_oracle(batched.for_pair(reader_name, epc), want)
                     pairs += 1
             assert pairs > 0

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from repro.dsp.bartlett import bartlett_power_spectrum, bartlett_spectrum_from_covariance
+from repro.dsp.batch import (
+    BatchPMusicConfig,
+    batched_pmusic_from_covariances,
+    batched_smoothed_from_full,
+)
 from repro.dsp.covariance import is_hermitian, sample_covariance
 from repro.dsp.pmusic import PMusicEstimator
 from repro.dsp.smoothing import spatially_smoothed_covariance
 from repro.errors import ConfigurationError, EstimationError
-from repro.stream.covariance import (
-    CovarianceBank,
-    EwCovariance,
-    pmusic_spectrum_from_covariance,
-    smoothed_covariance_from_full,
-)
+from repro.stream.covariance import CovarianceBank, EwCovariance
 
 SPACING = 0.163
 WAVELENGTH = 2.0 * SPACING
+CONFIG = BatchPMusicConfig(spacing_m=SPACING, wavelength_m=WAVELENGTH)
 
 
 def snapshots(rng, m=8, n=32):
@@ -131,16 +132,16 @@ class TestSmoothedFromFull:
         full = sample_covariance(x)
         for fb in (False, True):
             np.testing.assert_allclose(
-                smoothed_covariance_from_full(full, 6, forward_backward=fb),
+                batched_smoothed_from_full(full[None], 6, forward_backward=fb)[0],
                 spatially_smoothed_covariance(x, 6, forward_backward=fb),
                 atol=1e-12,
             )
 
     def test_rejects_bad_inputs(self, rng):
         with pytest.raises(EstimationError):
-            smoothed_covariance_from_full(np.ones((3, 4)), 2)
+            batched_smoothed_from_full(np.ones((1, 3, 4)), 2)
         with pytest.raises(EstimationError):
-            smoothed_covariance_from_full(np.eye(4), 1)
+            batched_smoothed_from_full(np.eye(4)[None], 1)
 
 
 class TestBartlettFromCovariance:
@@ -156,14 +157,13 @@ class TestBartlettFromCovariance:
 
 class TestPmusicFromCovariance:
     def test_matches_snapshot_domain_pmusic(self, rng):
-        # The whole covariance-domain chain against the batch estimator
-        # on the same data (decay 1.0 makes R the sample covariance).
+        # The whole covariance-domain chain against the snapshot
+        # estimator on the same data (decay 1.0 makes R the sample
+        # covariance).
         x = snapshots(rng)
         est = EwCovariance(num_antennas=8, decay=1.0)
         est.update_matrix(x)
-        from_cov = pmusic_spectrum_from_covariance(
-            est.covariance(), SPACING, WAVELENGTH
-        )
+        from_cov = batched_pmusic_from_covariances(est.covariance()[None], CONFIG)[0]
         batch = PMusicEstimator(spacing_m=SPACING, wavelength_m=WAVELENGTH)
         from_snaps = batch.spectrum(x)
         np.testing.assert_array_equal(from_cov.angles, from_snaps.angles)
@@ -171,4 +171,4 @@ class TestPmusicFromCovariance:
 
     def test_rejects_non_square_covariance(self):
         with pytest.raises(EstimationError):
-            pmusic_spectrum_from_covariance(np.ones((3, 4)), SPACING, WAVELENGTH)
+            batched_pmusic_from_covariances(np.ones((1, 3, 4)), CONFIG)

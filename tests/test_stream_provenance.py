@@ -15,7 +15,6 @@ from repro.stream import (
     FIXLOG_KIND,
     FIXLOG_SCHEMA,
     READER_ROLES,
-    SPECTRAL_PATHS,
     FixLogHeader,
     FixProvenance,
     FixQuality,
@@ -42,8 +41,6 @@ PROVENANCE = FixProvenance(
     active_faults=("outage",),
     watermark_s=1.25,
     lateness_s=0.02,
-    spectral_path="mixed",
-    scalar_fallbacks=("r1",),
     checkpoint_lineage=("abc123def456",),
 )
 
@@ -60,7 +57,6 @@ def some_fix(index=0, provenance=None):
 
 class TestRecords:
     def test_vocabularies_are_closed(self):
-        assert PROVENANCE.spectral_path in SPECTRAL_PATHS
         assert all(r.role in READER_ROLES for r in PROVENANCE.readers)
 
     def test_round_trip_through_dict(self):
@@ -125,6 +121,21 @@ class TestFixLog:
         with pytest.raises(RecordingError, match="line 2"):
             list(read_fix_log(path))
 
+    def test_record_with_retired_spectral_path_fields_loads(self, tmp_path):
+        # Fix logs written before the scalar fallback was removed carry
+        # ``spectral_path`` and ``scalar_fallbacks``; they still load,
+        # and the retired keys are dropped.
+        path = tmp_path / "old.jsonl"
+        write_fix_log(path, [some_fix(0, PROVENANCE)])
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record["provenance"]["spectral_path"] = "mixed"
+        record["provenance"]["scalar_fallbacks"] = ["r1"]
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        (loaded,) = read_fix_log(path)
+        assert loaded.provenance == PROVENANCE
+        assert "spectral_path" not in loaded.provenance.to_dict()
+
     def test_crash_leaves_parseable_prefix(self, tmp_path):
         # Header goes to disk eagerly: a writer that never appends (a
         # crash before the first fix) still leaves a valid, empty log.
@@ -169,7 +180,6 @@ class TestRunnerIntegration:
         for fix in fixes:
             assert fix.provenance is not None
             assert fix.provenance.window_index == fix.index
-            assert fix.provenance.spectral_path in SPECTRAL_PATHS
             names = [r.name for r in fix.provenance.readers]
             assert names == sorted(r.name for r in scene.readers)
             assert all(r.role in READER_ROLES for r in fix.provenance.readers)
@@ -180,8 +190,6 @@ class TestRunnerIntegration:
         reads = synthetic_reads(scene, SyntheticStreamConfig(fixes=2), rng=29)
         fixes = list(runner.run(iter(reads)))
         final = fixes[-1].provenance
-        assert final.spectral_path == "batch"
-        assert final.scalar_fallbacks == ()
         assert final.active_faults == ()
         assert set(final.contributing) == {r.name for r in scene.readers}
         assert final.checkpoint_lineage == ()

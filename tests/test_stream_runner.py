@@ -11,14 +11,17 @@ from repro.core.pipeline import DWatch
 from repro.dsp.spectrum import AngularSpectrum
 from repro.errors import CalibrationError, ConfigurationError, LocalizationError
 from repro.sim.environments import hall_scene
-from repro.sim.measurement import MeasurementSession
+from repro.sim.measurement import MeasurementConfig, MeasurementSession
+from repro.sim.target import human_target
 from repro.stream import StreamConfig, StreamRunner
 from repro.stream.drift import BaselineDriftTracker
 from repro.stream.synthetic import (
     SyntheticStreamConfig,
+    measurement_reads,
     synthetic_reads,
     target_positions,
 )
+from repro.stream.window import WindowConfig
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +154,75 @@ class TestDriftTracker:
         # A present target must freeze at least the windows that saw it.
         detected = [f for f in fixes if f.raw_estimates]
         assert drift.frozen_updates >= len(detected) > 0
+
+
+class TestReaderFailure:
+    """A pair whose spectrum fails fails its reader, after every pair folded."""
+
+    SWEEPS = 12
+
+    @pytest.fixture(scope="class")
+    def deployment(self):
+        # Three antennas: the default subarray is the whole array, so no
+        # smoothing or forward-backward averaging mixes the antennas and
+        # the failing pair below has an exactly flat MUSIC spectrum.
+        scene = hall_scene(rng=5, num_tags=4, num_antennas=3)
+        dwatch = DWatch(scene, cell_size=0.1)
+        dwatch.calibrate(rng=6)
+        session = MeasurementSession(
+            scene, MeasurementConfig(num_snapshots=self.SWEEPS), rng=7
+        )
+        dwatch.collect_baseline([session.capture() for _ in range(2)])
+        capture = session.capture([human_target(scene.room.center)])
+        return scene, dwatch, capture
+
+    def _run(self, deployment, capture, monkeypatch):
+        scene, dwatch, _ = deployment
+        seen = []
+        evidence = dwatch.evidence_from_spectra
+
+        def spy(online, missing="error"):
+            seen.append(online.spectra)
+            return evidence(online, missing)
+
+        monkeypatch.setattr(dwatch, "evidence_from_spectra", spy)
+        config = StreamConfig(window=WindowConfig(sweeps_per_window=self.SWEEPS))
+        runner = StreamRunner(dwatch, config)
+        fixes = list(runner.run(measurement_reads(capture, scene, 0.0)))
+        monkeypatch.undo()
+        assert len(fixes) == len(seen) == 1
+        return runner, fixes[0], seen[0]
+
+    def test_peakless_pair_fails_its_reader_only(self, deployment, monkeypatch):
+        _, _, capture = deployment
+        reader = capture.readers()[0]
+        tags = sorted(capture.tags_for(reader))
+        bad = tags[0]
+        # One antenna per sweep, antenna 0 the weakest: R is diagonal,
+        # the noise subspace is exactly antenna 0, and the MUSIC
+        # spectrum is flat, so Nor(·) finds no peak.
+        flat = np.zeros((3, self.SWEEPS), dtype=complex)
+        for sweep in range(self.SWEEPS):
+            flat[sweep % 3, sweep] = 0.5 if sweep % 3 == 0 else 1.0
+        broken = copy.deepcopy(capture)
+        broken.snapshots[reader][bad] = flat
+        without = copy.deepcopy(capture)
+        del without.snapshots[reader][bad]
+
+        runner, fix, spectra = self._run(deployment, broken, monkeypatch)
+        roles = {r.name: r.role for r in fix.provenance.readers}
+        assert roles[reader] == "failed"
+        assert reader not in spectra
+        # No rollback: every pair of the failing reader folded the window.
+        for epc in tags:
+            assert runner.bank.pair(reader, epc, 3).updates == self.SWEEPS
+
+        _, _, reference = self._run(deployment, without, monkeypatch)
+        others = [name for name in capture.readers() if name != reader]
+        assert others and sorted(spectra) == sorted(others)
+        for name in others:
+            for epc, spectrum in reference[name].items():
+                assert np.array_equal(spectra[name][epc].values, spectrum.values)
 
 
 class TestCliBitIdentity:

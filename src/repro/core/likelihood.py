@@ -1,18 +1,21 @@
-"""Likelihood-grid localization (Eq. 15) with hill-climbing refinement.
+"""Likelihood-grid localization (Eq. 15) on one dense surface per fix.
 
 For a candidate position ``O``, each reader contributes the evidence at
 the angle under which it would see ``O``; the paper combines readers
 multiplicatively: ``L(O) = prod_i delta Omega_i(theta_i(O))``.  The
-monitoring area is scanned on a grid (5 cm for rooms, 2 cm for the
-table) and the best cell is refined by hill climbing.
+monitoring area is evaluated on a dense grid (5 cm for rooms, 2 cm for
+the table) once per evidence set.  Modes are peeled off that surface,
+each steps to a local maximum of the grid, and a lattice at an eighth
+of a cell around every mode is scored exactly in one vectorized
+evaluation for sub-cell precision.  The paper hill-climbs from a coarse
+scan because its full-grid evaluation is expensive; ours is not.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,15 +26,28 @@ from repro.errors import LocalizationError
 from repro.geometry.point import Point
 from repro.geometry.shapes import Rectangle
 from repro.rfid.reader import Reader
-from repro.utils.angles import TWO_PI
 
 
-#: Per-reader constants consumed by :func:`_fast_likelihood_at`: array
-#: centroid x/y, orientation, the drop spectrum's first/last axis and
-#: value samples, and its axis/values unpacked to plain float lists.
-_ReaderContext = Tuple[
-    float, float, float, float, float, float, float, List[float], List[float]
-]
+#: An :meth:`LikelihoodMap.evaluate` result: ``(xs, ys, L)``.
+Surface = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _square(half: int, step: float) -> np.ndarray:
+    """``(dx, dy)`` offsets of a square lattice, nearest first.
+
+    ``(2 half + 1)^2`` points ``step`` apart; the centre comes first,
+    so an ``argmax`` over the lattice resolves ties towards it.
+    """
+    span = range(-half, half + 1)
+    offsets = [(dx * step, dy * step) for dy in span for dx in span]
+    return np.array(sorted(offsets, key=lambda o: o[0] ** 2 + o[1] ** 2))
+
+
+#: A grid cell's 3x3 neighbourhood, in cells.
+_NEIGHBOURS = _square(1, 1)
+#: The sub-cell refinement lattice, in cells: 9x9 points an eighth of a
+#: cell apart, spanning one cell around its centre.
+_LATTICE = _square(4, 1.0 / 8.0)
 
 
 @dataclass(frozen=True)
@@ -121,20 +137,6 @@ class LikelihoodMap:
         self._grid_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._angle_cache: Dict[str, np.ndarray] = {}
         self._interp_cache: Dict[str, _InterpTable] = {}
-        # Single-entry point-evaluator context cache.  One fix probes
-        # the same evidence hundreds of times (hill climbs, candidate
-        # scoring); the context's float unpacking is paid once per
-        # evidence set.  Validity is object identity of the evidence
-        # items and their drop-value arrays — the stored strong
-        # references keep those ids stable.
-        self._context_cache: Optional[
-            Tuple[List[Tuple[AngleEvidence, np.ndarray]], List[_ReaderContext]]
-        ] = None
-        # Point-likelihood memo tied to the cached context: hill climbs
-        # from nearby modes probe overlapping lattice points, and the
-        # evaluator is a pure function of (x, y) once the context and
-        # floor are fixed.  Reset whenever the context is rebuilt.
-        self._point_memo: Dict[Tuple[float, float], float] = {}
 
     def grid_points(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(xs, ys)`` axes of the evaluation grid."""
@@ -188,9 +190,7 @@ class LikelihoodMap:
         self._interp_cache[reader_name] = entry
         return entry
 
-    def evaluate(
-        self, evidence: Sequence[AngleEvidence]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, evidence: Sequence[AngleEvidence]) -> Surface:
         """Likelihood over the grid: ``(xs, ys, L)`` with L shaped (len(ys), len(xs)).
 
         Readers without any detection are skipped entirely — they carry
@@ -225,10 +225,8 @@ class LikelihoodMap:
             obs.count("grid.cells_evaluated", likelihood.size * len(active))
         return xs, ys, likelihood
 
-    def best_estimate(
-        self, evidence: Sequence[AngleEvidence], refine: bool = True
-    ) -> LocationEstimate:
-        """The maximum-likelihood position, hill-climbed off the grid.
+    def best_estimate(self, evidence: Sequence[AngleEvidence]) -> LocationEstimate:
+        """The maximum-likelihood position, refined below the grid cell.
 
         Raises
         ------
@@ -236,110 +234,154 @@ class LikelihoodMap:
             If no reader produced any detection (target in a global
             deadzone or no target present).
         """
-        active = [e for e in evidence if e.has_detection]
-        if not active:
+        if not any(e.has_detection for e in evidence):
             raise LocalizationError("no blocking evidence: nothing to localize")
         with obs.span("grid.search"):
-            xs, ys, likelihood = self.evaluate(evidence)
-            flat_index = int(np.argmax(likelihood))
-            iy, ix = np.unravel_index(flat_index, likelihood.shape)
-            best = Point(float(xs[ix]), float(ys[iy]))
-            best_value = float(likelihood[iy, ix])
-            if refine:
-                best, best_value = self._hill_climb(best, best_value, active)
-        angles = {
-            item.reader_name: self._reader_for(item.reader_name).array.angle_to(best)
-            for item in active
-        }
-        return LocationEstimate(
-            position=best, likelihood=best_value, per_reader_angles=angles
-        )
+            return self.peel_modes(self.evaluate(evidence), evidence, max_modes=1)[0]
 
     def top_modes(
         self,
         evidence: Sequence[AngleEvidence],
         max_modes: int = 5,
         min_separation: float = 0.5,
-        refine: bool = True,
     ) -> List[LocationEstimate]:
         """The strongest local maxima of the likelihood surface.
 
-        Candidate target positions for consensus scoring: the grid is
-        scanned once, maxima are peeled off greedily with a spatial
-        exclusion radius, and each survivor is hill-climbed.
+        :meth:`peel_modes` on a fresh :meth:`evaluate` surface; callers
+        that need the surface again (for :meth:`refine`) evaluate it
+        themselves and call :meth:`peel_modes`.
         """
-        active = [e for e in evidence if e.has_detection]
-        if not active:
-            return []
-        with obs.span("grid.modes", max_modes=max_modes):
-            return self._peel_modes(
-                evidence, active, max_modes, min_separation, refine
-            )
+        return self.peel_modes(
+            self.evaluate(evidence), evidence, max_modes, min_separation
+        )
 
-    def _peel_modes(
+    def peel_modes(
+        self,
+        surface: Surface,
+        evidence: Sequence[AngleEvidence],
+        max_modes: int = 5,
+        min_separation: float = 0.5,
+    ) -> List[LocationEstimate]:
+        """Greedy modes of an :meth:`evaluate` surface, refined.
+
+        Up to ``max_modes`` times, the highest remaining cell is taken
+        and every cell within ``min_separation`` of it is zeroed; the
+        taken cells are then refined together (:meth:`refine`).
+        """
+        xs, ys, likelihood = surface
+        working = likelihood.copy()
+        threshold = min_separation**2
+        # Suppression only reaches min_separation, so the distance test
+        # runs on the cell's bounding-box window, not the whole grid.
+        reach = int(min_separation / self.cell_size) + 1
+        cells: List[Point] = []
+        with obs.span("grid.modes", max_modes=max_modes):
+            for _ in range(max_modes):
+                iy, ix = np.unravel_index(int(np.argmax(working)), working.shape)
+                if working[iy, ix] <= 0.0:
+                    break
+                x, y = float(xs[ix]), float(ys[iy])
+                cells.append(Point(x, y))
+                iy0, ix0 = max(iy - reach, 0), max(ix - reach, 0)
+                window = working[iy0 : iy + reach + 1, ix0 : ix + reach + 1]
+                rows, cols = window.shape
+                suppress = (xs[ix0 : ix0 + cols] - x) ** 2 + (
+                    ys[iy0 : iy0 + rows, None] - y
+                ) ** 2 < threshold
+                window[suppress] = 0.0
+            return self.refine(surface, evidence, cells)
+
+    def refine(
+        self,
+        surface: Surface,
+        evidence: Sequence[AngleEvidence],
+        positions: Sequence[Point],
+    ) -> List[LocationEstimate]:
+        """Sub-cell likelihood maxima near each of ``positions``.
+
+        Each position snaps to its nearest grid node, then steps to the
+        best of its 3x3 neighbours on the surface until its node is a
+        local maximum.  A 9x9 lattice at an eighth of a cell, spanning
+        the node's cell, is laid around every node and scored exactly
+        in one evaluation; each position becomes its lattice's best
+        point (ties go to the point nearest the node).
+        """
+        if not positions:
+            return []
+        xs, ys, likelihood = surface
+        cell = self.cell_size
+        ix = np.rint((np.array([p.x for p in positions]) - xs[0]) / cell)
+        iy = np.rint((np.array([p.y for p in positions]) - ys[0]) / cell)
+        ix = np.clip(ix.astype(int), 0, xs.size - 1)
+        iy = np.clip(iy.astype(int), 0, ys.size - 1)
+        modes = np.arange(len(positions))
+        while True:
+            cols = np.clip(ix[:, None] + _NEIGHBOURS[:, 0], 0, xs.size - 1)
+            rows = np.clip(iy[:, None] + _NEIGHBOURS[:, 1], 0, ys.size - 1)
+            best = likelihood[rows, cols].argmax(axis=1)
+            if not best.any():  # every node is its neighbourhood's max
+                break
+            ix, iy = cols[modes, best], rows[modes, best]
+        room = self.room
+        px = np.clip(xs[ix, None] + _LATTICE[:, 0] * cell, room.min_x, room.max_x)
+        py = np.clip(ys[iy, None] + _LATTICE[:, 1] * cell, room.min_y, room.max_y)
+        active = [e for e in evidence if e.has_detection]
+        values = self._likelihood_points(px, py, active)
+        best = values.argmax(axis=1)
+        return [
+            self._estimate(
+                Point(float(px[k, b]), float(py[k, b])), float(values[k, b]), active
+            )
+            for k, b in enumerate(best)
+        ]
+
+    def crossing_candidates(
         self,
         evidence: Sequence[AngleEvidence],
-        active: List[AngleEvidence],
-        max_modes: int,
-        min_separation: float,
-        refine: bool,
+        modes: Sequence[LocationEstimate],
+        radius: float,
     ) -> List[LocationEstimate]:
-        xs, ys, likelihood = self.evaluate(evidence)
-        working = likelihood.copy()
-        # Suppression only ever zeroes cells within min_separation of a
-        # mode, so the distance test runs on the bounding-box window of
-        # each candidate instead of the whole grid.  One cell of
-        # padding absorbs the subtraction round-off at the rim, keeping
-        # the selected cells identical to the full-grid mask.
-        radius = min_separation + self.cell_size
-        threshold = min_separation**2
-        modes: List[LocationEstimate] = []
-        for _ in range(max_modes):
-            flat_index = int(np.argmax(working))
-            iy, ix = np.unravel_index(flat_index, working.shape)
-            value = float(working[iy, ix])
-            if value <= 0.0:
-                break
-            candidate = Point(float(xs[ix]), float(ys[iy]))
-            if refine:
-                candidate, value = self._hill_climb(candidate, value, active)
-            angles = {
-                item.reader_name: self._reader_for(item.reader_name).array.angle_to(
-                    candidate
-                )
-                for item in active
-            }
-            modes.append(
-                LocationEstimate(
-                    position=candidate, likelihood=value, per_reader_angles=angles
-                )
-            )
-            ix0 = int(np.searchsorted(xs, candidate.x - radius, side="left"))
-            ix1 = int(np.searchsorted(xs, candidate.x + radius, side="right"))
-            iy0 = int(np.searchsorted(ys, candidate.y - radius, side="left"))
-            iy1 = int(np.searchsorted(ys, candidate.y + radius, side="right"))
-            suppress = (xs[ix0:ix1] - candidate.x) ** 2 + (
-                ys[iy0:iy1, None] - candidate.y
-            ) ** 2 < threshold
-            working[iy0:iy1, ix0:ix1][suppress] = 0.0
-        return modes
+        """Scored :meth:`ray_intersections` that the modes do not cover.
+
+        A crossing within ``radius`` of a mode or of an earlier kept
+        crossing is skipped; the rest are scored in one exact
+        evaluation.  Used by the consensus localizers to make sure the
+        true triangulated position is a candidate even when ghost modes
+        dominate the surface.
+        """
+        covered = [mode.position for mode in modes]
+        fresh: List[Point] = []
+        for crossing in self.ray_intersections(evidence):
+            if any(crossing.distance_to(p) < radius for p in covered):
+                continue
+            covered.append(crossing)
+            fresh.append(crossing)
+        return self._score(fresh, [e for e in evidence if e.has_detection])
 
     def estimate_at(
-        self,
-        position: Point,
-        evidence: Sequence[AngleEvidence],
-        refine: bool = False,
+        self, position: Point, evidence: Sequence[AngleEvidence]
     ) -> LocationEstimate:
         """Build a :class:`LocationEstimate` for an explicit candidate.
 
-        Used by the consensus localizer to score candidate positions
-        that do not come from the grid scan (e.g. event-ray
-        intersections).
+        Scores a position that does not come from the grid (e.g. a
+        triangulated fix) exactly, without moving it.
         """
-        active = [e for e in evidence if e.has_detection]
-        value = self.likelihood_at(position, evidence)
-        if refine and active:
-            position, value = self._hill_climb(position, value, active)
+        return self._score([position], [e for e in evidence if e.has_detection])[0]
+
+    def _score(
+        self, points: Sequence[Point], active: Sequence[AngleEvidence]
+    ) -> List[LocationEstimate]:
+        values = self._likelihood_points(
+            np.array([p.x for p in points]), np.array([p.y for p in points]), active
+        )
+        return [
+            self._estimate(point, float(value), active)
+            for point, value in zip(points, values)
+        ]
+
+    def _estimate(
+        self, position: Point, value: float, active: Sequence[AngleEvidence]
+    ) -> LocationEstimate:
         angles = {
             item.reader_name: self._reader_for(item.reader_name).array.angle_to(
                 position
@@ -422,170 +464,38 @@ class LikelihoodMap:
     ) -> float:
         """Point evaluation of the Eq. 15 product.
 
-        Runs on the cached-context scalar evaluator — bit-identical to
-        the original per-reader ``angle_to``/``value_at`` chain (see
-        :func:`_fast_likelihood_at`) with the array unpacking amortised
-        across the many point probes of one fix.
+        Exactly equal to :meth:`evaluate`'s cell when ``position`` is a
+        grid node.
         """
-        context = self._context_for(evidence)
-        if not context:
-            return 0.0
-        return _fast_likelihood_at(position.x, position.y, context, self.floor)
-
-    def _context_for(
-        self, evidence: Sequence[AngleEvidence]
-    ) -> List[_ReaderContext]:
-        """The (cached) fast-evaluator context of an evidence set."""
         active = [e for e in evidence if e.has_detection]
-        cached = self._context_cache
-        if cached is not None:
-            refs, context = cached
-            if len(refs) == len(active) and all(
-                ref is item and values is item.drop.values
-                for (ref, values), item in zip(refs, active)
-            ):
-                return context
-        context = self._point_context(evidence)
-        self._context_cache = (
-            [(item, item.drop.values) for item in active],
-            context,
+        value = self._likelihood_points(
+            np.array([position.x]), np.array([position.y]), active
         )
-        self._point_memo = {}
-        return context
+        return float(value[0])
 
-    def _point_context(
-        self, evidence: Sequence[AngleEvidence]
-    ) -> List[_ReaderContext]:
-        """Per-reader constants for the fast point evaluator.
+    def _likelihood_points(
+        self, px: np.ndarray, py: np.ndarray, active: Sequence[AngleEvidence]
+    ) -> np.ndarray:
+        """Eq. 15 at arbitrary points: ``np.interp`` on each drop spectrum.
 
-        One entry per detecting reader, in evidence order (the order
-        :meth:`likelihood_at` multiplies factors in): array centroid,
-        orientation, and the drop spectrum's axis/values unpacked to
-        plain floats so the per-candidate cost is pure scalar math.
+        The same angle expression, interpolation and factor order as
+        :meth:`evaluate` (whose interpolation table reproduces
+        ``np.interp`` bit for bit), so a grid node scores exactly its
+        cell; like :meth:`evaluate`, no detecting reader means zero.
         """
-        context = []
-        for item in evidence:
-            if not item.has_detection:
-                continue
-            reader = self._reader_for(item.reader_name)
-            centroid = reader.array.centroid
-            xp = item.drop.angles
-            fp = item.drop.values
-            context.append(
-                (
-                    centroid.x,
-                    centroid.y,
-                    reader.array.orientation,
-                    float(xp[0]),
-                    float(xp[-1]),
-                    float(fp[0]),
-                    float(fp[-1]),
-                    xp.tolist(),
-                    fp.tolist(),
-                )
-            )
-        return context
-
-    def _hill_climb(
-        self,
-        start: Point,
-        start_value: float,
-        evidence: Sequence[AngleEvidence],
-        max_iterations: int = 64,
-    ) -> Tuple[Point, float]:
-        """Greedy coordinate refinement with a shrinking step.
-
-        Runs on :func:`_fast_likelihood_at` — a scalar-math replica of
-        :meth:`likelihood_at` (same atan2/wrap/interp bit patterns) —
-        because the greedy update is inherently sequential: each
-        accepted candidate changes the next probe, so the 8 directions
-        cannot be batched, only made cheap.
-        """
-        context = self._context_for(evidence)
-        floor = self.floor
-        room = self.room
-        min_x, max_x = room.min_x, room.max_x
-        min_y, max_y = room.min_y, room.max_y
-        current_x, current_y = start.x, start.y
-        current_value = start_value
-        step = self.cell_size
-        steps = 0
-        # Memoized pure-point evaluations: successive iterations (and
-        # climbs from other modes converging to the same attractor)
-        # re-probe overlapping points.
-        memo = self._point_memo
-        memo_get = memo.get
-        for _ in range(max_iterations):
-            steps += 1
-            improved = False
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)):
-                candidate_x = min(max_x, max(min_x, current_x + dx * step))
-                candidate_y = min(max_y, max(min_y, current_y + dy * step))
-                point_key = (candidate_x, candidate_y)
-                value = memo_get(point_key)
-                if value is None:
-                    value = _fast_likelihood_at(
-                        candidate_x, candidate_y, context, floor
-                    )
-                    memo[point_key] = value
-                if value > current_value:
-                    current_x, current_y = candidate_x, candidate_y
-                    current_value = value
-                    improved = True
-            if not improved:
-                step /= 2.0
-                if step < self.cell_size / 8.0:
-                    break
-        obs.count("grid.hill_climb_steps", steps)
-        return Point(current_x, current_y), current_value
+        if not active:
+            return np.zeros(px.shape)
+        value = np.ones(px.shape)
+        for item in active:
+            theta = _angles_to_grid(self._reader_for(item.reader_name), px, py)
+            value *= np.interp(theta, item.drop.angles, item.drop.values) + self.floor
+        return value
 
     def _reader_for(self, name: str) -> Reader:
         try:
             return self.readers[name]
         except KeyError as exc:
             raise LocalizationError(f"evidence references unknown reader {name!r}") from exc
-
-
-def _fast_likelihood_at(
-    x: float,
-    y: float,
-    context: Sequence[_ReaderContext],
-    floor: float,
-    # Default-bound locals: global/attribute lookups are a measurable
-    # fraction of this function at thousands of calls per fix.
-    _atan2: Callable[[float, float], float] = math.atan2,
-    _pi: float = math.pi,
-    _two_pi: float = TWO_PI,
-    _bisect: Callable[[List[float], float], int] = bisect_right,
-) -> float:
-    """Scalar-math replica of :meth:`LikelihoodMap.likelihood_at`.
-
-    Reproduces, bit for bit, ``abs(wrap_to_pi(atan2(...) - orientation))``
-    (``math.atan2`` and Python ``%`` match the scalar paths of
-    :meth:`Point.angle_to` / :func:`repro.utils.angles.wrap_to_pi`
-    exactly — note ``np.arctan2`` would *not*) followed by
-    ``np.interp``'s slope expression and boundary rules, without any
-    NumPy dispatch.  The hill climb calls this thousands of times per
-    fix.
-    """
-    value = 1.0
-    for cx, cy, orientation, xp_first, xp_last, fp_first, fp_last, xs, fs in context:
-        bearing = _atan2(y - cy, x - cx)
-        wrapped = (bearing - orientation + _pi) % _two_pi - _pi
-        if wrapped == -_pi:
-            wrapped = _pi
-        theta = abs(wrapped)
-        if theta >= xp_last:
-            factor = fp_last
-        elif theta < xp_first:
-            factor = fp_first
-        else:
-            k = _bisect(xs, theta) - 1
-            x0 = xs[k]
-            f0 = fs[k]
-            factor = (fs[k + 1] - f0) / (xs[k + 1] - x0) * (theta - x0) + f0
-        value *= floor + factor
-    return value
 
 
 def _ray_crossing(

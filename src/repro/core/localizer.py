@@ -149,24 +149,17 @@ class DWatchLocalizer:
         angle under which that reader sees the mode — is the target.
         Ties break on likelihood.
         """
+        lmap = self.likelihood_map
         with obs.span("localizer.consensus") as sp:
-            candidates = self.likelihood_map.top_modes(
-                evidence, max_modes=12, min_separation=0.35
+            surface = lmap.evaluate(evidence)
+            candidates = lmap.peel_modes(
+                surface, evidence, max_modes=12, min_separation=0.35
             )
             # Add every cross-reader ray intersection: the true triangulated
             # position is guaranteed to be among these even when wrong-angle
             # ghost modes dominate the likelihood surface.
-            covered = [c.position for c in candidates]
-            for crossing in self.likelihood_map.ray_intersections(evidence):
-                if any(crossing.distance_to(p) < 0.15 for p in covered):
-                    continue
-                covered.append(crossing)
-                candidates.append(
-                    self.likelihood_map.estimate_at(crossing, evidence)
-                )
+            candidates += lmap.crossing_candidates(evidence, candidates, 0.15)
             sp.set(candidates=len(candidates))
-            if not candidates:
-                return self.likelihood_map.best_estimate(evidence)
             best_mode, best_key = None, None
             for mode in candidates:
                 readers, weight = self._support(mode, evidence)
@@ -178,14 +171,12 @@ class DWatchLocalizer:
                 key = (readers, weight * (0.05 + mode.likelihood))
                 if best_key is None or key > best_key:
                     best_mode, best_key = mode, key
-            if best_key[0] < self.min_readers:
+            if best_key is None or best_key[0] < self.min_readers:
                 raise LocalizationError(
                     "no candidate position is corroborated by "
                     f"{self.min_readers} readers; location not identifiable"
                 )
-            return self.likelihood_map.estimate_at(
-                best_mode.position, evidence, refine=True
-            )
+            return lmap.refine(surface, evidence, [best_mode.position])[0]
 
     def _support(
         self, estimate: LocationEstimate, evidence: Sequence[AngleEvidence]

@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro import obs
 from repro.core.detector import AngleEvidence
-from repro.core.likelihood import LocationEstimate
+from repro.core.likelihood import LocationEstimate, Surface
 from repro.core.localizer import DWatchLocalizer
 from repro.utils.angles import deg2rad
 
@@ -68,13 +68,17 @@ class MultiTargetLocalizer:
         active = [item for item in evidence if item.has_detection]
         if not active:
             return []
+        lmap = self.localizer.likelihood_map
         with obs.span("multitarget.solve", max_targets=self.max_targets) as sp:
-            candidates = self._candidate_pool(evidence)
+            surface = lmap.evaluate(evidence)
+            candidates = self._candidate_pool(surface, evidence)
             sp.set(candidates=len(candidates))
             obs.gauge("multitarget.pool_size", len(candidates))
             if not candidates:
                 return []
-            results = self._assign(evidence, candidates)
+            chosen = self._assign(evidence, candidates)
+            results = lmap.refine(surface, evidence, [c.position for c in chosen])
+            results.sort(key=lambda estimate: estimate.likelihood, reverse=True)
             sp.set(targets=len(results))
             obs.count("multitarget.targets_found", len(results))
             return results
@@ -125,29 +129,18 @@ class MultiTargetLocalizer:
                 if score > best_score:
                     best_subset, best_score = subset, score
 
-        lmap = self.localizer.likelihood_map
-        results = [
-            lmap.estimate_at(candidates[index].position, evidence, refine=True)
-            for index in best_subset
-        ]
-        results.sort(key=lambda estimate: estimate.likelihood, reverse=True)
-        return results
+        return [candidates[index] for index in best_subset]
 
     def _candidate_pool(
-        self, evidence: Sequence[AngleEvidence]
+        self, surface: Surface, evidence: Sequence[AngleEvidence]
     ) -> List[LocationEstimate]:
         """Likelihood modes plus every cross-reader ray intersection,
         screened by the single-target consensus rule."""
         lmap = self.localizer.likelihood_map
-        pool = lmap.top_modes(
-            evidence, max_modes=4 * self.max_targets, min_separation=0.25
+        pool = lmap.peel_modes(
+            surface, evidence, max_modes=4 * self.max_targets, min_separation=0.25
         )
-        covered = [candidate.position for candidate in pool]
-        for crossing in lmap.ray_intersections(evidence):
-            if any(crossing.distance_to(p) < 0.1 for p in covered):
-                continue
-            covered.append(crossing)
-            pool.append(lmap.estimate_at(crossing, evidence))
+        pool += lmap.crossing_candidates(evidence, pool, 0.1)
         screened = []
         for candidate in pool:
             readers, _ = self.localizer._support(candidate, evidence)

@@ -1,6 +1,6 @@
 """Bearing-only triangulation by weighted non-linear least squares.
 
-Grid search + hill climbing finds the right likelihood mode; this
+The dense likelihood grid and consensus find the right mode; this
 module polishes it.  Given the consistent blocked angles (one or more
 per reader), the position minimizing the weighted squared angular
 residuals is found with Gauss-Newton — a few iterations converge far

@@ -86,6 +86,23 @@ class TestBestEstimate:
                 [_evidence_from_events("south", [], default_angle_grid())]
             )
 
+    @pytest.mark.parametrize(
+        "target",
+        [(4.215, 2.73), (1.33, 4.41), (2.012, 3.988), (5.07, 1.21)],
+    )
+    def test_sub_cell_precision(self, readers, target):
+        # Noiseless evidence for an off-node target: both the best
+        # estimate and the strongest mode must resolve it well inside
+        # one grid cell.
+        target = Point(*target)
+        cell = 0.05
+        lmap = LikelihoodMap(room=ROOM, readers=readers, cell_size=cell)
+        evidence = evidence_for_target(readers, target)
+        best = lmap.best_estimate(evidence)
+        mode = lmap.top_modes(evidence)[0]
+        assert best.position.distance_to(target) < 0.4 * cell
+        assert mode.position.distance_to(target) < 0.4 * cell
+
     def test_unknown_reader_rejected(self, readers):
         lmap = LikelihoodMap(room=ROOM, readers=readers)
         target = Point(3.0, 3.0)
@@ -199,3 +216,17 @@ class TestLikelihoodAt:
         at_target = lmap.likelihood_at(target, evidence)
         away = lmap.likelihood_at(Point(5.0, 5.0), evidence)
         assert at_target > away * 10.0
+
+    def test_grid_nodes_equal_evaluated_surface(self, readers):
+        # The point evaluator (np.interp) and the grid's precomputed
+        # interpolation table must agree exactly at every grid node.
+        lmap = LikelihoodMap(room=ROOM, readers=readers, cell_size=0.1)
+        evidence = evidence_for_target(readers, Point(2.43, 3.61))
+        xs, ys, likelihood = lmap.evaluate(evidence)
+        at_nodes = np.array(
+            [
+                [lmap.likelihood_at(Point(float(x), float(y)), evidence) for x in xs]
+                for y in ys
+            ]
+        )
+        assert np.array_equal(at_nodes, likelihood)

@@ -77,6 +77,16 @@ class TestMinReaders:
         with pytest.raises(LocalizationError):
             localizer.localize(empty)
 
+    def test_no_detection_rejected_without_reader_minimum(self, localizer):
+        # No candidate at all must still be a LocalizationError, not a
+        # failed comparison on an empty consensus.
+        lenient = DWatchLocalizer(
+            likelihood_map=localizer.likelihood_map, min_readers=0
+        )
+        empty = [_evidence_from_events("south", [], default_angle_grid())]
+        with pytest.raises(LocalizationError):
+            lenient.localize(empty)
+
 
 class TestWrongAngleRejection:
     def test_extra_wrong_angle_does_not_break_fix(self, readers, localizer):

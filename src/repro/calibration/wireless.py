@@ -28,8 +28,8 @@ from scipy import optimize
 from repro import obs
 from repro.calibration.ga import GeneticMinimizer
 from repro.calibration.offsets import PhaseOffsets
+from repro.dsp.batch import batched_eigendecompose, batched_estimate_num_sources
 from repro.dsp.covariance import sample_covariance
-from repro.dsp.music import eigendecompose, estimate_num_sources
 from repro.errors import CalibrationError
 from repro.rf.array import steering_vector
 from repro.utils.rng import RngLike, ensure_rng
@@ -68,14 +68,16 @@ def observation_from_snapshots(
     which leaves a rich ``M - 1`` dimensional noise subspace.
     """
     covariance = sample_covariance(snapshots)
-    eigenvalues, eigenvectors = eigendecompose(covariance)
+    eigenvalues, eigenvectors = batched_eigendecompose(covariance[None])
     p = num_sources
     if p is None:
-        p = estimate_num_sources(
-            eigenvalues, source_threshold_ratio, max_sources=covariance.shape[0] - 1
+        p = int(
+            batched_estimate_num_sources(
+                eigenvalues, source_threshold_ratio, covariance.shape[0] - 1
+            )[0]
         )
     return CalibrationObservation(
-        los_angle=float(los_angle), noise_subspace=eigenvectors[:, p:]
+        los_angle=float(los_angle), noise_subspace=eigenvectors[0][:, p:]
     )
 
 

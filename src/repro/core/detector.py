@@ -24,6 +24,14 @@ from repro.errors import LocalizationError
 from repro.utils.angles import deg2rad
 
 
+#: Standard deviation (radians) of the Gaussian kernel that turns
+#: discrete blocking events into a smooth evidence function; on the
+#: order of the array's angular resolution.  One width for every
+#: evidence build, so evidence rebuilt after outlier rejection or
+#: multi-target splitting keeps the detector's kernels.
+EVIDENCE_KERNEL_WIDTH = deg2rad(2.0)
+
+
 @dataclass(frozen=True)
 class BlockedPath:
     """One detected blocking event on one (reader, tag) pair.
@@ -150,10 +158,6 @@ class DropDetector:
     min_peak_relative_height:
         Baseline peaks weaker than this fraction of the tag's strongest
         peak are ignored (too noisy to judge a drop reliably).
-    kernel_width:
-        Standard deviation (radians) of the Gaussian kernel that turns
-        discrete blocking events into a smooth evidence function; on
-        the order of the array's angular resolution.
     comparison_window:
         Half-width (radians) of the angular window around a baseline
         peak searched for the matching online peak.  P-MUSIC lobes are
@@ -165,7 +169,6 @@ class DropDetector:
 
     relative_threshold: float = 0.5
     min_peak_relative_height: float = 0.12
-    kernel_width: float = deg2rad(2.0)
     comparison_window: float = deg2rad(2.5)
     #: Peaks this close (radians) to endfire (0 or pi) are discarded: a
     #: ULA's resolution collapses at endfire (d theta / d cos theta
@@ -377,9 +380,7 @@ class DropDetector:
                 grid = default_angle_grid()
             obs.count("detector.events", len(events))
             result.append(
-                _evidence_from_events(
-                    reader_name, events, grid, self.kernel_width
-                )
+                _evidence_from_events(reader_name, events, grid)
             )
         return result
 
@@ -410,7 +411,6 @@ def _evidence_from_events(
     reader_name: str,
     events: List[BlockedPath],
     grid: np.ndarray,
-    kernel_width: float = deg2rad(1.5),
 ) -> AngleEvidence:
     """Fold events into a smooth evidence spectrum via Gaussian kernels.
 
@@ -422,7 +422,7 @@ def _evidence_from_events(
     values = np.zeros_like(np.asarray(grid, dtype=float))
     for event in events:
         kernel = event.weight * np.exp(
-            -0.5 * ((grid - event.angle) / kernel_width) ** 2
+            -0.5 * ((grid - event.angle) / EVIDENCE_KERNEL_WIDTH) ** 2
         )
         values = np.maximum(values, kernel)
     return AngleEvidence(

@@ -6,32 +6,22 @@ from repro.dsp.spectrum import (
     default_angle_grid,
     spectrum_from_samples,
 )
-from repro.dsp.covariance import (
-    sample_covariance,
-    is_hermitian,
-    exchange_matrix,
-    forward_backward_average,
-)
-from repro.dsp.smoothing import spatially_smoothed_covariance, default_subarray_size
-from repro.dsp.peaks import find_spectrum_peaks, peak_regions
-from repro.dsp.music import (
-    MusicEstimator,
-    eigendecompose,
-    estimate_num_sources,
-    mdl_num_sources,
-    noise_subspace,
-    music_spectrum_from_subspace,
-)
-from repro.dsp.bartlett import bartlett_power_spectrum, bartlett_power_at
+from repro.dsp.covariance import sample_covariance, is_hermitian
+from repro.dsp.peaks import find_spectrum_peaks
+from repro.dsp.music import MusicEstimator
+from repro.dsp.bartlett import bartlett_power_spectrum
 from repro.dsp.pmusic import PMusicEstimator, config_from_estimator, normalize_peaks
 from repro.dsp.batch import (
     BatchPMusicConfig,
+    batched_bartlett_spectra,
     batched_eigendecompose,
     batched_estimate_num_sources,
+    batched_music_from_covariances,
     batched_pmusic_from_covariances,
     batched_pmusic_spectra,
     batched_sample_covariance,
     batched_smoothed_from_full,
+    default_subarray_size,
 )
 from repro.dsp.doppler import (
     DopplerEstimate,
@@ -48,25 +38,17 @@ __all__ = [
     "spectrum_from_samples",
     "sample_covariance",
     "is_hermitian",
-    "exchange_matrix",
-    "forward_backward_average",
-    "spatially_smoothed_covariance",
     "default_subarray_size",
     "find_spectrum_peaks",
-    "peak_regions",
     "MusicEstimator",
-    "eigendecompose",
-    "estimate_num_sources",
-    "mdl_num_sources",
-    "noise_subspace",
-    "music_spectrum_from_subspace",
     "bartlett_power_spectrum",
-    "bartlett_power_at",
     "PMusicEstimator",
     "normalize_peaks",
     "BatchPMusicConfig",
+    "batched_bartlett_spectra",
     "batched_eigendecompose",
     "batched_estimate_num_sources",
+    "batched_music_from_covariances",
     "batched_pmusic_from_covariances",
     "batched_pmusic_spectra",
     "batched_sample_covariance",

@@ -1,26 +1,34 @@
-"""P-MUSIC (Eq. 14) over N problems at once: the one implementation.
+"""The spectral chain of Section 4.2 over N problems at once: the one implementation.
 
-Every fix runs the Section 4.2 chain (covariance → smoothing →
-eigendecomposition → MUSIC → ``Nor(·)`` → Bartlett → P-MUSIC,
-Eqs. 8/13/14) for each of the ~100 (reader, tag) pairs.  Each problem
-is tiny — an 8×8 ``eigh``, a handful of small matmuls — so a per-pair
-loop would cost Python/NumPy dispatch, not arithmetic.
+Every fix runs the chain (covariance → smoothing → eigendecomposition
+→ MUSIC → ``Nor(·)`` → Bartlett → P-MUSIC, Eqs. 8/13/14) for each of
+the ~100 (reader, tag) pairs.  Each problem is tiny — an 8×8 ``eigh``,
+a handful of small matmuls — so a per-pair loop would cost
+Python/NumPy dispatch, not arithmetic.
 
-:func:`batched_pmusic_from_covariances` runs the chain over an
-``(N, M, M)`` covariance stack: diagonal-block smoothing of the full
-``R``, one batched Hermitian ``eigh`` whose eigenvalues also count the
-sources, one masked projection per source count for the noise
-subspaces, the per-lobe ``Nor(·)`` as one fused ``(N, G)`` division
-(peak detection stays per item), and Bartlett power ``a^H R a / M^2``
-from the unsmoothed ``R``.  Every P-MUSIC caller goes through it:
-snapshot callers (:func:`batched_pmusic_spectra`,
-:class:`repro.dsp.pmusic.PMusicEstimator`,
-:class:`repro.wifi.WidebandPMusic`) compute the sample covariance
-first, and the streaming runner passes its incrementally maintained
-covariances directly.
+Each stage exists once, here, over a stack:
+:func:`batched_sample_covariance` (Eq. 5), :func:`batched_smoothed_from_full`
+(diagonal-block spatial smoothing of the full ``R``, with
+forward-backward averaging), :func:`batched_eigendecompose` and
+:func:`batched_estimate_num_sources` (one Hermitian ``eigh`` whose
+eigenvalues also count the sources), :func:`batched_music_spectra`
+(one masked projection per source count), :func:`batched_bartlett_spectra`
+(``a^H R a / M^2`` from the unsmoothed ``R``) and :func:`nor_divisors`
+(the per-lobe ``Nor(·)`` as one ``(N, G)`` division; peak detection
+stays per item).  :func:`batched_music_from_covariances` chains the
+MUSIC stages and :func:`batched_pmusic_from_covariances` adds Bartlett
+and ``Nor(·)``.
 
-``tests/test_property_batch.py`` checks the kernel against the
-textbook Eq. 14 in ``tests/pmusic_oracle.py`` (snapshot-domain
+Every caller goes through these: the streaming runner passes its
+incrementally maintained covariances directly; snapshot callers
+(:func:`batched_pmusic_spectra`, :class:`repro.dsp.pmusic.PMusicEstimator`,
+:class:`repro.dsp.music.MusicEstimator`,
+:func:`repro.dsp.bartlett.bartlett_power_spectrum`,
+:class:`repro.wifi.WidebandPMusic` and wireless calibration) compute
+the sample covariance first and make one-item calls.
+
+``tests/test_property_batch.py`` checks MUSIC and P-MUSIC against the
+textbook oracles in ``tests/pmusic_oracle.py`` (snapshot-domain
 smoothing, per-item loops) to a tolerance scaled to each spectrum's
 peak, and checks that a stack equals the same items run one by one
 exactly.
@@ -35,9 +43,7 @@ import numpy as np
 
 from repro import obs
 from repro.constants import MAX_DOMINANT_PATHS
-from repro.dsp.music import sorted_eigh
 from repro.dsp.peaks import candidate_peak_indices, region_starts_from_indices
-from repro.dsp.smoothing import default_subarray_size
 from repro.dsp.spectrum import (
     AngularSpectrum,
     default_angle_grid,
@@ -54,7 +60,8 @@ class BatchPMusicConfig:
 
     The union of :class:`repro.dsp.pmusic.PMusicEstimator` and its inner
     :class:`repro.dsp.music.MusicEstimator` knobs;
-    :func:`repro.dsp.pmusic.config_from_estimator` builds one from an
+    :meth:`repro.dsp.music.MusicEstimator.config` and
+    :func:`repro.dsp.pmusic.config_from_estimator` build one from an
     estimator.
     """
 
@@ -81,18 +88,49 @@ class BatchPMusicConfig:
         return default_subarray_size(num_antennas, MAX_DOMINANT_PATHS)
 
 
+def default_subarray_size(num_antennas: int, max_paths: int = 5) -> int:
+    """A spatial-smoothing subarray length balancing aperture against decorrelation.
+
+    Backscatter multipaths all carry the same source signal, so the
+    array covariance is rank-1 and plain MUSIC collapses; averaging
+    overlapping subarrays (Shan, Wax & Kailath 1985) restores the rank
+    at the cost of shrinking the aperture from ``M`` elements to ``L``.
+    The subarray must keep at least ``max_paths + 1`` elements so the
+    noise subspace is non-empty, while leaving enough subarrays
+    (``M - L + 1``) to decorrelate the coherent paths.  For the paper's
+    8-element array with up to 5 dominant paths this yields ``L = 6``.
+    """
+    if num_antennas < 3:
+        raise EstimationError("spatial smoothing needs at least three antennas")
+    # Keep L as large as possible subject to a non-trivial subarray count
+    # and a usable noise subspace.
+    largest_useful = num_antennas - 2  # at least 3 subarrays with FB averaging
+    l = min(max_paths + 1, largest_useful)
+    return max(l, 3)
+
+
 def _as_stack(arrays: ArrayLike, kind: str) -> ComplexArray:
     stack = np.asarray(arrays, dtype=np.complex128)
     if stack.ndim != 3:
         raise EstimationError(f"{kind} stack must be 3-D, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise EstimationError(f"{kind} stack contains non-finite values")
+    return stack
+
+
+def _as_covariance_stack(covariances: ArrayLike) -> ComplexArray:
+    stack = _as_stack(covariances, "covariance")
+    if stack.shape[1] != stack.shape[2]:
+        raise EstimationError("covariances must be square (N, M, M)")
     return stack
 
 
 def batched_sample_covariance(snapshots: ArrayLike) -> ComplexArray:
     """Stacked ``R_i = X_i X_i^H / N`` over an ``(N, M, S)`` snapshot stack.
 
-    The stacked form of :func:`repro.dsp.covariance.sample_covariance`,
-    Hermitian-symmetrized the same way.
+    Hermitian-symmetrized, because the eigendecomposition downstream
+    assumes exact symmetry.  :func:`repro.dsp.covariance.sample_covariance`
+    is its one-item call.
     """
     x = _as_stack(snapshots, "snapshot")
     if x.shape[2] < 1:
@@ -114,16 +152,16 @@ def batched_smoothed_from_full(
 ) -> ComplexArray:
     """Spatial smoothing computed from full ``(N, M, M)`` covariances.
 
-    The average of the snapshot-domain subarray covariances
-    (:func:`repro.dsp.smoothing.spatially_smoothed_covariance`) equals
-    the average of the ``(L, L)`` diagonal blocks of the full
-    covariance, so smoothing needs no snapshots.  Each block is
-    Hermitian-symmetrized before it is summed.
+    The average of the snapshot-domain subarray covariances equals the
+    average of the ``(L, L)`` diagonal blocks of the full covariance,
+    so smoothing needs no snapshots.  Each block is
+    Hermitian-symmetrized before it is summed.  ``M - L + 1`` forward
+    subarrays are averaged; with ``forward_backward=True`` the result
+    is averaged with its reflected conjugate ``J R* J``, decorrelating
+    up to ``2 * (M - L + 1)`` coherent arrivals.
     """
-    r = _as_stack(covariances, "covariance")
+    r = _as_covariance_stack(covariances)
     m = r.shape[1]
-    if r.shape[2] != m:
-        raise EstimationError("covariances must be square (N, M, M)")
     if not 2 <= subarray_size <= m:
         raise EstimationError(
             f"subarray size must be in [2, {m}], got {subarray_size}"
@@ -142,15 +180,15 @@ def batched_smoothed_from_full(
 
 
 def batched_eigendecompose(covariances: ArrayLike) -> Tuple[FloatArray, ComplexArray]:
-    """Descending eigenvalues/vectors of an ``(N, L, L)`` Hermitian stack.
-
-    The eigh-then-sort sequence is :func:`repro.dsp.music.sorted_eigh`,
-    shared with plain MUSIC so the two orderings cannot drift.
-    """
-    r = _as_stack(covariances, "covariance")
-    if r.shape[1] != r.shape[2]:
-        raise EstimationError("covariances must be square (N, L, L)")
-    return sorted_eigh(r)
+    """Descending eigenvalues/vectors of an ``(N, L, L)`` Hermitian stack."""
+    r = _as_covariance_stack(covariances)
+    eigenvalues, eigenvectors = np.linalg.eigh(r)
+    order = np.argsort(eigenvalues, axis=-1)[..., ::-1]
+    values = np.take_along_axis(eigenvalues, order, axis=-1)
+    vectors = np.take_along_axis(eigenvectors, order[..., None, :], axis=-1)
+    # eigh of a Hermitian matrix returns mathematically real eigenvalues;
+    # .real only strips the zero imaginary storage.
+    return values.real, vectors  # reprolint: disable=RL003
 
 
 def batched_estimate_num_sources(
@@ -158,10 +196,14 @@ def batched_estimate_num_sources(
     threshold_ratio: float = 0.03,
     max_sources: Optional[int] = None,
 ) -> IntArray:
-    """Vectorized :func:`repro.dsp.music.estimate_num_sources` over rows.
+    """Count each row's signal eigenvalues by thresholding against its largest.
 
-    Applies the same threshold/clamp arithmetic per row, including the
-    ``M == 1`` guard that the one-row function raises up front.
+    The paper chooses ``P`` as the number of eigenvalues "larger than a
+    threshold"; the default ratio marks everything within roughly 15 dB
+    of the dominant eigenvalue as signal.  A row is clamped to
+    ``[1, min(max_sources, M - 1)]`` so a noise subspace remains; a row
+    whose largest eigenvalue is not positive counts zero.  ``M == 1``
+    raises up front: it leaves no noise subspace at all.
     """
     values = np.asarray(eigenvalues, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] == 0:
@@ -226,10 +268,8 @@ def batched_bartlett_spectra(
     three-operand einsum computes the same values at roughly 3x the
     cost of letting BLAS do the inner product.
     """
-    r = _as_stack(covariances, "covariance")
+    r = _as_covariance_stack(covariances)
     m = r.shape[1]
-    if r.shape[2] != m:
-        raise EstimationError("covariances must be square (N, M, M)")
     a = cached_steering_matrix(angle_grid, m, spacing_m, wavelength_m)
     product = np.matmul(r, a)  # (N, M, G)
     # The quadratic form a^H R a of a Hermitian R is mathematically real;
@@ -296,47 +336,63 @@ def batched_pmusic_spectra(
     return batched_pmusic_from_covariances(covariances, config)
 
 
+def batched_music_from_covariances(
+    covariances: ArrayLike,
+    config: BatchPMusicConfig,
+) -> FloatArray:
+    """All N MUSIC pseudo-spectra from an ``(N, M, M)`` covariance stack (Eq. 8).
+
+    Spatial smoothing from the full ``R`` (none when the subarray spans
+    the array), one ``eigh`` whose eigenvalues count the sources unless
+    ``config.num_sources`` pins them, and the noise projection.  Returns
+    the ``(N, G)`` values on ``config.grid()``.  Raises
+    :class:`~repro.errors.EstimationError` when any item has no noise
+    subspace.
+    """
+    r = _as_covariance_stack(covariances)
+    n, m = r.shape[0], r.shape[1]
+    with obs.span("batch.covariance"):
+        sub_len = config.resolve_subarray(m)
+        if sub_len >= m:
+            smoothed = (r + r.conj().transpose(0, 2, 1)) / 2.0
+        else:
+            smoothed = batched_smoothed_from_full(
+                r, sub_len, config.forward_backward
+            )
+    length = smoothed.shape[1]
+    with obs.span("batch.eigendecomposition", size=length):
+        eigenvalues, eigenvectors = batched_eigendecompose(smoothed)
+        if config.num_sources is not None:
+            p = np.full(n, config.num_sources, dtype=np.int64)
+        else:
+            p = batched_estimate_num_sources(
+                eigenvalues, config.source_threshold_ratio, length - 1
+            )
+        obs.count("music.sources_detected", int(p.sum()))
+    with obs.span("batch.spectrum"):
+        return batched_music_spectra(
+            eigenvectors, p, config.spacing_m, config.wavelength_m, config.grid()
+        )
+
+
 def batched_pmusic_from_covariances(
     covariances: ArrayLike,
     config: BatchPMusicConfig,
 ) -> List[AngularSpectrum]:
     """All N P-MUSIC spectra ``Omega_i(theta)`` from an ``(N, M, M)`` stack (Eq. 14).
 
-    MUSIC over the smoothed covariances, ``Nor(·)``, times Bartlett
+    :func:`batched_music_from_covariances`, ``Nor(·)``, times Bartlett
     power from the *unsmoothed* covariances.  Raises
     :class:`~repro.errors.EstimationError` when any item has no noise
     subspace or no detectable peak.
     """
-    r = _as_stack(covariances, "covariance")
+    r = _as_covariance_stack(covariances)
     n, m = r.shape[0], r.shape[1]
-    if r.shape[2] != m:
-        raise EstimationError("covariances must be square (N, M, M)")
     if n == 0:
         return []
     grid = config.grid()
     with obs.span("batch.pmusic", batch=n, size=m):
-        with obs.span("batch.covariance"):
-            sub_len = config.resolve_subarray(m)
-            if sub_len >= m:
-                smoothed = (r + r.conj().transpose(0, 2, 1)) / 2.0
-            else:
-                smoothed = batched_smoothed_from_full(
-                    r, sub_len, config.forward_backward
-                )
-        length = smoothed.shape[1]
-        with obs.span("batch.eigendecomposition", size=length):
-            eigenvalues, eigenvectors = batched_eigendecompose(smoothed)
-            if config.num_sources is not None:
-                p = np.full(n, config.num_sources, dtype=np.int64)
-            else:
-                p = batched_estimate_num_sources(
-                    eigenvalues, config.source_threshold_ratio, length - 1
-                )
-            obs.count("music.sources_detected", int(p.sum()))
-        with obs.span("batch.spectrum"):
-            music_values = batched_music_spectra(
-                eigenvectors, p, config.spacing_m, config.wavelength_m, grid
-            )
+        music_values = batched_music_from_covariances(r, config)
         with obs.span("batch.bartlett"):
             power = batched_bartlett_spectra(
                 r, config.spacing_m, config.wavelength_m, grid

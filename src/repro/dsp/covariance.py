@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.contracts import check_shapes, ensure_finite
+from repro.dsp.batch import batched_sample_covariance
 from repro.errors import EstimationError
-from repro.utils.arrays import ArrayLike, ComplexArray, FloatArray
+from repro.utils.arrays import ArrayLike, ComplexArray
 
 
 @check_shapes(returns="complex:M,M", snapshots="M,N")
 @ensure_finite
 def sample_covariance(snapshots: ArrayLike) -> ComplexArray:
     """Sample covariance ``R = X X^H / N`` of array snapshots.
+
+    A one-item call of :func:`repro.dsp.batch.batched_sample_covariance`.
 
     Parameters
     ----------
@@ -28,13 +31,7 @@ def sample_covariance(snapshots: ArrayLike) -> ComplexArray:
     x = np.asarray(snapshots, dtype=np.complex128)
     if x.ndim != 2:
         raise EstimationError(f"snapshots must be 2-D (M, N), got shape {x.shape}")
-    m, n = x.shape
-    if n < 1:
-        raise EstimationError("need at least one snapshot")
-    r = x @ x.conj().T / n
-    # Enforce exact Hermitian symmetry despite floating-point drift; the
-    # eigendecomposition downstream assumes it.
-    return (r + r.conj().T) / 2.0
+    return batched_sample_covariance(x[None])[0]
 
 
 def is_hermitian(matrix: ArrayLike, tolerance: float = 1e-10) -> bool:
@@ -43,24 +40,3 @@ def is_hermitian(matrix: ArrayLike, tolerance: float = 1e-10) -> bool:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         return False
     return bool(np.allclose(arr, arr.conj().T, atol=tolerance))
-
-
-def exchange_matrix(size: int) -> FloatArray:
-    """The anti-identity ``J`` used by forward-backward averaging."""
-    if size < 1:
-        raise EstimationError("exchange matrix size must be positive")
-    return np.fliplr(np.eye(size))
-
-
-@check_shapes(returns="complex:M,M", covariance="M,M")
-def forward_backward_average(covariance: ArrayLike) -> ComplexArray:
-    """Forward-backward averaged covariance ``(R + J R* J) / 2``.
-
-    Decorrelates one pair of coherent arrivals for free and is applied
-    inside spatial smoothing.
-    """
-    r = np.asarray(covariance, dtype=np.complex128)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise EstimationError("covariance must be square")
-    j = exchange_matrix(r.shape[0])
-    return (r + j @ r.conj() @ j) / 2.0

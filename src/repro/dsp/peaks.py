@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 from scipy.signal import find_peaks as _scipy_find_peaks
@@ -144,41 +144,16 @@ def candidate_peak_indices(
     return out
 
 
-def peak_regions(
-    spectrum: AngularSpectrum, peaks: List[SpectrumPeak]
-) -> List[Tuple[int, int]]:
-    """Partition the grid into one half-open region per peak.
-
-    Region boundaries sit at the minima between adjacent peaks, so each
-    grid point is attributed to the peak whose lobe it belongs to —
-    the lobes P-MUSIC's ``Nor(·)`` scales to unit height (through
-    :func:`region_starts_from_indices`).
-    """
-    values = spectrum.values
-    if not peaks:
-        return []
-    ordered = sorted(peaks, key=lambda p: p.index)
-    boundaries = [0]
-    for left, right in zip(ordered, ordered[1:]):
-        between = values[left.index : right.index + 1]
-        boundaries.append(left.index + int(np.argmin(between)))
-    boundaries.append(len(values))
-    regions = []
-    for start, end in zip(boundaries, boundaries[1:]):
-        if end <= start:
-            raise EstimationError("degenerate peak region")
-        regions.append((start, end))
-    return regions
-
-
 def region_starts_from_indices(
     values: np.ndarray, indices: List[int]
 ) -> Optional[np.ndarray]:
-    """Region start offsets of :func:`peak_regions`, from ascending indices.
+    """Partition the grid into one region per peak, from ascending peak indices.
 
-    Same boundary-at-the-minimum rule as :func:`peak_regions`,
-    returned as a start-offset array ready for ``np.maximum.reduceat``.
-    Region ends are implicitly the next start (the last runs to
+    Region boundaries sit at the minima between adjacent peaks, so each
+    grid point is attributed to the peak whose lobe it belongs to —
+    the lobes P-MUSIC's ``Nor(·)`` scales to unit height.  Returned as
+    a start-offset array ready for ``np.maximum.reduceat``.  Region
+    ends are implicitly the next start (the last runs to
     ``values.size``, which always exceeds its start), so the
     degenerate-region error reduces to a strictly-increasing check.
     ``None`` for an empty index list.

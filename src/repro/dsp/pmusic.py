@@ -17,7 +17,7 @@ with MUSIC's resolution whose peak heights track per-path signal power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -114,13 +114,10 @@ def config_from_estimator(estimator: PMusicEstimator) -> BatchPMusicConfig:
     """The :class:`~repro.dsp.batch.BatchPMusicConfig` of an estimator."""
     music = estimator.music
     assert music is not None  # set by PMusicEstimator.__post_init__
-    return BatchPMusicConfig(
+    return replace(
+        music.config(),
         spacing_m=estimator.spacing_m,
         wavelength_m=estimator.wavelength_m,
-        num_sources=music.num_sources,
-        subarray_size=music.subarray_size,
-        forward_backward=music.forward_backward,
-        source_threshold_ratio=music.source_threshold_ratio,
         peak_min_relative_height=estimator.peak_min_relative_height,
         peak_min_separation=estimator.peak_min_separation,
         angle_grid=music.angle_grid if music.angle_grid is not None else estimator.angle_grid,

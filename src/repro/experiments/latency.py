@@ -7,7 +7,7 @@ detection + likelihood search) over repeated fixes, and additionally
 breaks the total down per pipeline stage using the observability
 layer's spans: the fix loop runs inside :func:`repro.obs.observed`, so
 every instrumented stage (``pipeline.evidence``, ``grid.search``,
-``music.eigendecomposition``, ...) reports its own latency histogram.
+``batch.eigendecomposition``, ...) reports its own latency histogram.
 """
 
 from __future__ import annotations

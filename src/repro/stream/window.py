@@ -23,6 +23,7 @@ chain consumes:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -222,9 +223,12 @@ class WindowAssembler:
                 time_s=read.time_s,
             )
         time_s = read.time_s
-        if time_s < 0.0:
+        # The negated range test also rejects a NaN time, which every
+        # comparison fails.  A non-finite I/Q value folded into a pair's
+        # exponentially weighted covariance would never decay out of it.
+        if not (0.0 <= time_s < math.inf and cmath.isfinite(read.iq)):
             raise StreamError(
-                "read carries a negative event time",
+                "read carries a negative or non-finite time or I/Q value",
                 reader=read.reader_name,
                 epc=read.epc,
                 time_s=time_s,

@@ -19,7 +19,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.dsp.batch import BatchPMusicConfig, batched_pmusic_from_covariances
+from repro.dsp.batch import (
+    BatchPMusicConfig,
+    batched_pmusic_from_covariances,
+    batched_sample_covariance,
+)
 from repro.dsp.peaks import find_spectrum_peaks
 from repro.dsp.spectrum import AngularSpectrum, SpectrumPeak
 from repro.errors import EstimationError
@@ -49,8 +53,7 @@ class WidebandPMusic:
 
     def covariance(self, reports: np.ndarray) -> np.ndarray:
         """Antenna covariance with subcarriers and packets as looks."""
-        x = self._flatten(reports)
-        return x @ x.conj().T / x.shape[1]
+        return batched_sample_covariance(self._flatten(reports)[None])[0]
 
     def spectrum(self, reports: np.ndarray) -> AngularSpectrum:
         """The P-MUSIC spectrum of a CSI report block."""

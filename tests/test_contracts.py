@@ -56,11 +56,11 @@ class TestZeroOverheadDisabledPath:
     def test_library_hot_paths_are_undecorated_when_disabled(self):
         # The suite normally runs with the gate off, so the imported
         # functions must be the plain originals (no wrapper attribute).
+        from repro.dsp.bartlett import bartlett_power_spectrum
         from repro.dsp.covariance import sample_covariance
-        from repro.dsp.music import eigendecompose
 
         assert not hasattr(sample_covariance, "__wrapped__")
-        assert not hasattr(eigendecompose, "__wrapped__")
+        assert not hasattr(bartlett_power_spectrum, "__wrapped__")
 
     def test_bad_spec_still_rejected_when_disabled(self, monkeypatch):
         # Spec typos are programming errors; they fail at import time

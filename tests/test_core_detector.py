@@ -129,6 +129,17 @@ class TestEvidenceAggregation:
         assert len(filtered.events) == 1
         assert math.degrees(filtered.events[0].angle) == pytest.approx(130, abs=1)
 
+    def test_rebuilt_evidence_keeps_the_detector_kernels(self):
+        detector = DropDetector()
+        base, online = self._sets(
+            lobe_spectrum([50, 130], [1.0, 0.9]),
+            lobe_spectrum([50, 130], [0.02, 0.02]),
+        )
+        evidence = detector.evidence(base, online)[0]
+        rebuilt = evidence.without_events_near(math.radians(90), math.radians(5))
+        assert len(rebuilt.events) == 2
+        assert np.array_equal(rebuilt.drop.values, evidence.drop.values)
+
 
 class TestBlockedPathWeight:
     def test_weight_combines_drop_and_confidence(self):

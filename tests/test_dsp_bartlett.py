@@ -5,11 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.dsp.bartlett import bartlett_power_at, bartlett_power_spectrum
+from repro.dsp.bartlett import bartlett_power_spectrum
 from repro.errors import EstimationError
 from repro.rf.channel import MultipathChannel
 
 from tests.conftest import make_path
+
+
+def bartlett_power_at(snapshots, theta, spacing_m, wavelength_m):
+    grid = np.array([theta, theta + 1e-9])
+    return bartlett_power_spectrum(snapshots, spacing_m, wavelength_m, grid).values[0]
 
 
 class TestBartlettPower:

@@ -1,15 +1,16 @@
-"""Tests for repro.dsp.covariance."""
+"""Tests for repro.dsp.covariance and forward-backward averaging."""
 
 import numpy as np
 import pytest
 
-from repro.dsp.covariance import (
-    exchange_matrix,
-    forward_backward_average,
-    is_hermitian,
-    sample_covariance,
-)
+from repro.dsp.batch import batched_smoothed_from_full
+from repro.dsp.covariance import is_hermitian, sample_covariance
 from repro.errors import EstimationError
+
+
+def forward_backward_average(covariance):
+    """``(R + J R* J) / 2``: smoothing with one subarray spanning the array."""
+    return batched_smoothed_from_full(covariance[None], covariance.shape[0])[0]
 
 
 class TestSampleCovariance:
@@ -46,15 +47,6 @@ class TestHelpers:
     def test_is_hermitian_rejects_rectangular(self):
         assert not is_hermitian(np.zeros((2, 3)))
 
-    def test_exchange_matrix_is_antidiagonal(self):
-        j = exchange_matrix(3)
-        assert j[0, 2] == 1 and j[1, 1] == 1 and j[2, 0] == 1
-        assert j.sum() == 3
-
-    def test_exchange_is_involution(self):
-        j = exchange_matrix(5)
-        assert np.allclose(j @ j, np.eye(5))
-
     def test_forward_backward_preserves_hermitian(self, rng):
         x = rng.normal(size=(5, 30)) + 1j * rng.normal(size=(5, 30))
         fb = forward_backward_average(sample_covariance(x))
@@ -63,9 +55,9 @@ class TestHelpers:
     def test_forward_backward_is_persymmetric(self, rng):
         x = rng.normal(size=(5, 30)) + 1j * rng.normal(size=(5, 30))
         fb = forward_backward_average(sample_covariance(x))
-        j = exchange_matrix(5)
+        j = np.fliplr(np.eye(5))
         assert np.allclose(fb, j @ fb.conj() @ j)
 
     def test_forward_backward_rejects_rectangular(self):
         with pytest.raises(EstimationError):
-            forward_backward_average(np.zeros((2, 3)))
+            batched_smoothed_from_full(np.zeros((1, 2, 3)), 2)

@@ -1,22 +1,33 @@
-"""Tests for repro.dsp.music."""
+"""Tests for repro.dsp.music and the batched MUSIC stages behind it."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.dsp.covariance import sample_covariance
-from repro.dsp.music import (
-    MusicEstimator,
-    eigendecompose,
-    estimate_num_sources,
-    mdl_num_sources,
-    noise_subspace,
+from repro.calibration.wireless import observation_from_snapshots
+from repro.dsp.batch import (
+    batched_eigendecompose,
+    batched_estimate_num_sources,
+    batched_music_spectra,
 )
+from repro.dsp.covariance import sample_covariance
+from repro.dsp.music import MusicEstimator
+from repro.dsp.spectrum import default_angle_grid
 from repro.errors import EstimationError
 from repro.rf.channel import MultipathChannel
 
 from tests.conftest import make_path
+from tests.pmusic_oracle import music_oracle
+
+
+def eigendecompose(covariance):
+    values, vectors = batched_eigendecompose(covariance[None])
+    return values[0], vectors[0]
+
+
+def estimate_num_sources(eigenvalues, threshold_ratio=0.03):
+    return int(batched_estimate_num_sources(eigenvalues[None], threshold_ratio)[0])
 
 
 class TestEigendecompose:
@@ -36,7 +47,7 @@ class TestEigendecompose:
 
     def test_rejects_rectangular(self):
         with pytest.raises(EstimationError):
-            eigendecompose(np.zeros((2, 3)))
+            batched_eigendecompose(np.zeros((1, 2, 3)))
 
 
 class TestSourceCounting:
@@ -62,34 +73,27 @@ class TestSourceCounting:
         with pytest.raises(EstimationError, match="no eigenvalues"):
             estimate_num_sources(np.array([]))
 
-    def test_mdl_on_clear_spectrum(self, three_path_channel):
-        x = three_path_channel.snapshots(200, snr_db=30, rng=3)
-        from repro.dsp.smoothing import spatially_smoothed_covariance
-
-        r = spatially_smoothed_covariance(x, 6)
-        eigenvalues, _ = eigendecompose(r)
-        estimated = mdl_num_sources(eigenvalues, num_snapshots=200)
-        assert 2 <= estimated <= 4  # three paths, tolerating +/- 1
-
 
 class TestNoiseSubspace:
+    # The noise subspace U_N that calibration (Eq. 11) reads.
     def test_shape(self, rng):
         x = rng.normal(size=(8, 40)) + 1j * rng.normal(size=(8, 40))
-        un = noise_subspace(sample_covariance(x), num_sources=3)
+        un = observation_from_snapshots(x, 1.0, num_sources=3).noise_subspace
         assert un.shape == (8, 5)
 
     def test_orthonormal_columns(self, rng):
         x = rng.normal(size=(8, 40)) + 1j * rng.normal(size=(8, 40))
-        un = noise_subspace(sample_covariance(x), num_sources=3)
+        un = observation_from_snapshots(x, 1.0, num_sources=3).noise_subspace
         assert np.allclose(un.conj().T @ un, np.eye(5), atol=1e-10)
 
     def test_invalid_source_count_rejected(self, rng):
         x = rng.normal(size=(4, 10)) + 1j * rng.normal(size=(4, 10))
-        r = sample_covariance(x)
-        with pytest.raises(EstimationError):
-            noise_subspace(r, 0)
-        with pytest.raises(EstimationError):
-            noise_subspace(r, 4)
+        _, vectors = batched_eigendecompose(sample_covariance(x)[None])
+        for p in (0, 4):
+            with pytest.raises(EstimationError):
+                batched_music_spectra(
+                    vectors, np.array([p]), 0.163, 0.326, default_angle_grid()
+                )
 
 
 class TestMusicEstimator:
@@ -149,5 +153,12 @@ class TestMusicEstimator:
             wavelength_m=array.wavelength_m,
             num_sources=3,
         )
-        un = estimator.noise_subspace(x)
-        assert un.shape[1] == un.shape[0] - 3
+        values = estimator.spectrum(x).values
+        _, pinned = music_oracle(
+            x, array.spacing_m, array.wavelength_m, num_sources=3
+        )
+        _, other = music_oracle(
+            x, array.spacing_m, array.wavelength_m, num_sources=1
+        )
+        np.testing.assert_allclose(values, pinned, rtol=0.0, atol=1e-8 * pinned.max())
+        assert not np.allclose(values, other, rtol=0.0, atol=1e-3 * other.max())

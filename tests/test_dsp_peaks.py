@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.dsp.peaks import find_spectrum_peaks, peak_regions
+from repro.dsp.peaks import find_spectrum_peaks, region_starts_from_indices
 from repro.dsp.spectrum import AngularSpectrum
 
 
@@ -52,6 +52,16 @@ class TestFindSpectrumPeaks:
     def test_flat_zero_spectrum_has_no_peaks(self):
         spectrum = AngularSpectrum(np.linspace(0, math.pi, 10), np.zeros(10))
         assert find_spectrum_peaks(spectrum) == []
+
+
+def peak_regions(spectrum, peaks):
+    """Half-open ``(start, end)`` regions, one per peak, in grid order."""
+    indices = sorted(p.index for p in peaks)
+    starts = region_starts_from_indices(spectrum.values, indices)
+    if starts is None:
+        return []
+    ends = list(starts[1:]) + [len(spectrum.values)]
+    return list(zip(starts, ends))
 
 
 class TestPeakRegions:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.dsp.bartlett import bartlett_power_spectrum
+from repro.dsp.batch import BatchPMusicConfig, batched_pmusic_from_covariances
 from repro.dsp.music import MusicEstimator
 from repro.dsp.pmusic import PMusicEstimator, normalize_peaks
 from repro.dsp.peaks import find_spectrum_peaks
@@ -108,3 +110,24 @@ class TestPMusicConfiguration:
         x = three_path_channel.snapshots(40, rng=6)
         spectrum = estimator.spectrum(x)
         assert spectrum.angles.shape == grid.shape
+
+
+class TestNonFiniteInput:
+    # ContractViolation subclasses EstimationError, so these hold with
+    # REPRO_DEBUG on (the contract fires first) and off (the kernel's
+    # own check fires).
+    def test_every_entry_point_raises_estimation_error(self, array, three_path_channel):
+        x = three_path_channel.snapshots(20, rng=0)
+        x[2, 5] = np.nan
+        geometry = dict(spacing_m=array.spacing_m, wavelength_m=array.wavelength_m)
+        config = BatchPMusicConfig(**geometry)
+        r = np.full((1, 8, 8), np.nan, dtype=complex)
+        calls = [
+            lambda: PMusicEstimator(**geometry).spectrum(x),
+            lambda: MusicEstimator(**geometry).spectrum(x),
+            lambda: bartlett_power_spectrum(x, **geometry),
+            lambda: batched_pmusic_from_covariances(r, config),
+        ]
+        for call in calls:
+            with pytest.raises(EstimationError):
+                call()

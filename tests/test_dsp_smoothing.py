@@ -1,11 +1,17 @@
-"""Tests for repro.dsp.smoothing (coherent-source decorrelation)."""
+"""Tests for spatial smoothing (coherent-source decorrelation) in repro.dsp.batch."""
 
 import numpy as np
 import pytest
 
-from repro.dsp.covariance import is_hermitian
-from repro.dsp.smoothing import default_subarray_size, spatially_smoothed_covariance
+from repro.dsp.batch import batched_smoothed_from_full, default_subarray_size
+from repro.dsp.covariance import is_hermitian, sample_covariance
 from repro.errors import EstimationError
+
+
+def spatially_smoothed_covariance(x, subarray_size, forward_backward=True):
+    return batched_smoothed_from_full(
+        sample_covariance(x)[None], subarray_size, forward_backward
+    )[0]
 
 
 class TestSpatialSmoothing:

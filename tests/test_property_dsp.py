@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_WAVELENGTH_M
-from repro.dsp.covariance import (
-    forward_backward_average,
-    is_hermitian,
-    sample_covariance,
-)
+from repro.dsp.batch import batched_smoothed_from_full
+from repro.dsp.covariance import is_hermitian, sample_covariance
 from repro.dsp.spectrum import AngularSpectrum
 from repro.rf.array import steering_vector
 from repro.utils.angles import wrap_to_pi
@@ -68,7 +65,7 @@ class TestCovarianceProperties:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(m, 20)) + 1j * rng.normal(size=(m, 20))
         r = sample_covariance(x)
-        fb = forward_backward_average(r)
+        fb = batched_smoothed_from_full(r[None], m)[0]
         assert np.isclose(np.trace(fb).real, np.trace(r).real)
 
     @settings(max_examples=40)

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.dsp.bartlett import bartlett_power_spectrum, bartlett_spectrum_from_covariance
+from repro.dsp.bartlett import bartlett_power_spectrum
 from repro.dsp.batch import (
     BatchPMusicConfig,
+    batched_bartlett_spectra,
     batched_pmusic_from_covariances,
     batched_smoothed_from_full,
 )
 from repro.dsp.covariance import is_hermitian, sample_covariance
 from repro.dsp.pmusic import PMusicEstimator
-from repro.dsp.smoothing import spatially_smoothed_covariance
+from repro.dsp.spectrum import default_angle_grid
 from repro.errors import ConfigurationError, EstimationError
 from repro.stream.covariance import CovarianceBank, EwCovariance
+from tests.pmusic_oracle import smoothed_oracle
 
 SPACING = 0.163
 WAVELENGTH = 2.0 * SPACING
@@ -133,7 +135,7 @@ class TestSmoothedFromFull:
         for fb in (False, True):
             np.testing.assert_allclose(
                 batched_smoothed_from_full(full[None], 6, forward_backward=fb)[0],
-                spatially_smoothed_covariance(x, 6, forward_backward=fb),
+                smoothed_oracle(x, 6, forward_backward=fb),
                 atol=1e-12,
             )
 
@@ -146,13 +148,18 @@ class TestSmoothedFromFull:
 
 class TestBartlettFromCovariance:
     def test_matches_snapshot_domain_bartlett(self, rng):
+        # Bartlett power from the stream's covariance (decay 1.0 makes
+        # it the sample covariance) equals the snapshot-domain estimate.
         x = snapshots(rng)
-        via_cov = bartlett_spectrum_from_covariance(
-            sample_covariance(x), SPACING, WAVELENGTH
-        )
+        est = EwCovariance(num_antennas=8, decay=1.0)
+        est.update_matrix(x)
+        grid = default_angle_grid()
+        via_cov = batched_bartlett_spectra(
+            est.covariance()[None], SPACING, WAVELENGTH, grid
+        )[0]
         via_snaps = bartlett_power_spectrum(x, SPACING, WAVELENGTH)
-        np.testing.assert_allclose(via_cov.values, via_snaps.values, atol=1e-12)
-        np.testing.assert_array_equal(via_cov.angles, via_snaps.angles)
+        np.testing.assert_allclose(via_cov, via_snaps.values, atol=1e-12)
+        np.testing.assert_array_equal(grid, via_snaps.angles)
 
 
 class TestPmusicFromCovariance:

@@ -1,7 +1,9 @@
 """StreamRunner end to end: fixes, preconditions, drift and CLI parity."""
 
 import copy
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -72,6 +74,35 @@ class TestEndToEnd:
             assert a.index == b.index
             assert a.position == b.position
             assert a.predicted_only == b.predicted_only
+
+
+class TestNonFiniteReads:
+    """A read with a non-finite time or I/Q value is counted and dropped."""
+
+    def _reads(self, scene):
+        config = SyntheticStreamConfig(fixes=4, moving=False)
+        return list(synthetic_reads(scene, config, rng=8))
+
+    def test_nan_iq_does_not_poison_the_pair(self, tracking):
+        scene, dwatch = tracking
+        reads = self._reads(scene)
+        reads[0] = dataclasses.replace(reads[0], iq=complex(math.nan, 0.0))
+        runner = StreamRunner(dwatch)
+        fixes = list(runner.run(iter(reads)))
+        assert runner.rejected_reads == 1
+        assert len(fixes) == 4
+        for fix in fixes[1:]:
+            roles = {r.name: r.role for r in fix.provenance.readers}
+            assert roles[reads[0].reader_name] != "failed"
+
+    @pytest.mark.parametrize("time_s", [math.nan, math.inf])
+    def test_non_finite_time_is_rejected(self, tracking, time_s):
+        scene, dwatch = tracking
+        reads = self._reads(scene)
+        reads[5] = dataclasses.replace(reads[5], time_s=time_s)
+        runner = StreamRunner(dwatch)
+        assert len(list(runner.run(iter(reads)))) == 4
+        assert runner.rejected_reads == 1
 
 
 class TestPreconditions:

@@ -16,7 +16,9 @@
 #   5. sanitizer  — REPRO_DEBUG=1 stream run; the lock-sanitizer report
 #                   (.check/SANITIZER_report.json) must show no
 #                   inversions and no unguarded accesses
-#   6. chaos      — single-reader-loss run must still emit fixes
+#   6. chaos      — every fault scenario (reader-loss, dead-antenna,
+#                   phase-glitch, epc-misread, overload, late-burst)
+#                   must still emit fixes
 #   7. ops        — live /metrics scrape must pass the exposition validator
 #   8. bench      — scripts/bench.py --smoke writes .check/BENCH_pipeline.json
 #                   (report-only --compare against the committed record)
@@ -86,13 +88,16 @@ print(f"sanitizer smoke ok: {len(document['locks'])} locks watched, "
       "no inversions, no unguarded accesses")
 SANITIZER_SMOKE
 
-echo "== chaos smoke (reader loss must not stop the fix stream) =="
+echo "== chaos smoke (no fault scenario may stop the fix stream) =="
 # Hard timeout: a hung degraded pipeline is exactly the regression this
-# step exists to catch.
-timeout 300 env PYTHONPATH=src python -m repro --quiet stream \
-    --environment hall --seed 7 --fixes 3 --chaos reader-loss \
-    | grep -q "^fix " \
-    || { echo "chaos smoke produced no fixes"; exit 1; }
+# step exists to catch.  late-burst and overload reorder and repeat
+# reads, so they also exercise the assembler's window-close rules.
+for scenario in reader-loss dead-antenna phase-glitch epc-misread overload late-burst; do
+    timeout 300 env PYTHONPATH=src python -m repro --quiet stream \
+        --environment hall --seed 7 --fixes 3 --chaos "$scenario" \
+        | grep -q "^fix " \
+        || { echo "chaos smoke ($scenario) produced no fixes"; exit 1; }
+done
 
 echo "== ops smoke (telemetry run, live /metrics must validate) =="
 # A stream with every telemetry flag on: the fix log must be readable

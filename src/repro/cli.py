@@ -478,7 +478,8 @@ def _provenance_line(fix) -> str:
     faults = ",".join(p.active_faults) or "-"
     return (
         f"fix {fix.index:3d}  t={fix.time_s:.4f}s  {where}  "
-        f"{fix.quality_level:<12} readers={contributing}  faults={faults}"
+        f"{fix.quality_level:<12} readers={contributing}  faults={faults}  "
+        f"closed={p.closed_by or '-'}"
     )
 
 

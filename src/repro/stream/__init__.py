@@ -14,8 +14,11 @@ that online service:
   a counter for every drop, and a closed state so shutdown never
   strands a blocked producer.
 * :mod:`repro.stream.window` — the event-time window assembler that
-  groups reads by reader/tag/sweep into snapshot windows, with a
-  lateness bound for out-of-order arrivals.
+  groups reads by reader/tag/sweep into snapshot windows.  A complete
+  window (every expected reader/tag pair has all its sweeps) closes on
+  the first read past its end; any other waits for the watermark, so
+  the lateness bound for out-of-order arrivals stays the upper bound.
+  Each window records why it closed (``closed_by``).
 * :mod:`repro.stream.covariance` — exponentially-weighted rank-1
   covariance updates per (reader, tag), so spectra refresh per window
   from ``R`` without recomputing it from scratch.

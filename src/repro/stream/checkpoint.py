@@ -18,7 +18,10 @@ Format (``schema`` 1, ``kind`` ``dwatch-checkpoint``):
   corrupting fixes.
 * ``queue`` — still-undrained reads plus the lifetime counters.
 * ``assembler`` — pending window cells, watermark, emitted cursor and
-  the late/torn/duplicate counters.
+  the late/torn/duplicate counters, plus two optional keys for the
+  completeness close: ``expected`` (the pairs the next window must
+  complete; absent or ``null`` means the next window waits for the
+  watermark) and ``judged_through`` (the last window already judged).
 * ``bank`` — per-(reader, tag) weighted sums, weights and update
   counts (complex matrices as ``[re, im]`` pairs).
 * ``tracker`` — Kalman state vector, covariance and last update time.
@@ -414,6 +417,12 @@ def _assembler_state(runner: "StreamRunner") -> Dict[str, Any]:
         "late_reads": assembler.late_reads,
         "torn_sweeps": assembler.torn_sweeps,
         "duplicate_reads": assembler.duplicate_reads,
+        "expected": (
+            None
+            if assembler._expected is None
+            else [list(pair) for pair in sorted(assembler._expected)]
+        ),
+        "judged_through": assembler._judged_through,
     }
 
 
@@ -471,11 +480,17 @@ def _restore_assembler(
     raw_max = record["max_time"]
     assembler._max_time = None if raw_max is None else float(raw_max)
     assembler._emitted_through = int(record["emitted_through"])
-    # Derived readiness bound; recomputed rather than checkpointed.
-    assembler._min_pending_end = min(
-        ((index + 1) * assembler.window_s for index in assembler._pending),
-        default=None,
+    raw_expected = record.get("expected")
+    assembler._expected = (
+        None
+        if raw_expected is None
+        else {(str(reader), str(epc)) for reader, epc in raw_expected}
     )
+    assembler._judged_through = int(
+        record.get("judged_through", assembler._emitted_through)
+    )
+    # Derived readiness bound; recomputed rather than checkpointed.
+    assembler._refresh_due()
     assembler.late_reads = int(record["late_reads"])
     assembler.torn_sweeps = int(record["torn_sweeps"])
     assembler.duplicate_reads = int(record["duplicate_reads"])

@@ -95,12 +95,19 @@ class FixProvenance:
         Fault kinds whose injection window overlapped this fix window
         (empty outside chaos runs).
     watermark_s:
-        The assembler's event-time watermark when the window closed.
+        The assembler's event-time watermark when the window closed.  A
+        window closed as complete can close while the watermark is
+        still below its end.
     lateness_s:
         The assembler's out-of-order admission bound.
     checkpoint_lineage:
         Identities of the checkpoints this run restored from, oldest
         first (empty for a never-restored process).
+    closed_by:
+        Why the window closed: ``"complete"`` (every expected pair was
+        in at the first read past its end), ``"watermark"`` (the
+        lateness bound ran out) or ``"flush"`` (end of stream);
+        ``None`` in logs written before the field existed.
     """
 
     window_index: int
@@ -109,6 +116,7 @@ class FixProvenance:
     watermark_s: Optional[float] = None
     lateness_s: float = 0.0
     checkpoint_lineage: Tuple[str, ...] = ()
+    closed_by: Optional[str] = None
 
     @property
     def contributing(self) -> Tuple[str, ...]:
@@ -126,12 +134,14 @@ class FixProvenance:
             "watermark_s": self.watermark_s,
             "lateness_s": self.lateness_s,
             "checkpoint_lineage": list(self.checkpoint_lineage),
+            "closed_by": self.closed_by,
         }
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "FixProvenance":
         """Inverse of :meth:`to_dict`."""
         raw_watermark = record.get("watermark_s")
+        raw_closed_by = record.get("closed_by")
         return cls(
             window_index=int(record["window_index"]),
             readers=tuple(
@@ -147,6 +157,7 @@ class FixProvenance:
             checkpoint_lineage=tuple(
                 str(c) for c in record.get("checkpoint_lineage", [])
             ),
+            closed_by=None if raw_closed_by is None else str(raw_closed_by),
         )
 
 

@@ -201,10 +201,7 @@ class StreamRunner:
         """
         fixes: List[TrackFix] = []
         drained = self.queue.drain()
-        # note_read is independent of window assembly, so the batch
-        # accounting call leaves health state identical to the
-        # historical per-read interleaving.
-        self.health.note_reads(drained)
+        rejected: List[TagRead] = []
         push = self.assembler.push
         for read in drained:
             try:
@@ -212,10 +209,21 @@ class StreamRunner:
             except StreamError:
                 self.rejected_reads += 1
                 obs.count("stream.reads.rejected")
+                rejected.append(read)
                 continue
             fixes.extend(
                 self._process_window(window) for window in windows
             )
+        # Reader health counts only the reads assembly accepted (late
+        # ones included: they are real reads); a rejected read's NaN or
+        # infinite time must never reach ``last_read_s``.  Rejection
+        # depends on the read alone, so identity picks out every copy.
+        # Health's read bookkeeping feeds no window decision, so
+        # noting the batch after assembly changes no fix.
+        if rejected:
+            skip = {id(read) for read in rejected}
+            drained = [read for read in drained if id(read) not in skip]
+        self.health.note_reads(drained)
         obs.gauge("stream.queue.depth", float(len(self.queue)))
         return fixes
 
@@ -389,6 +397,7 @@ class StreamRunner:
             active_faults=active_faults,
             watermark_s=self.assembler.watermark,
             lateness_s=self.assembler.lateness_s,
+            closed_by=window.closed_by,
             checkpoint_lineage=tuple(self.lineage),
         )
 

@@ -14,11 +14,26 @@ chain consumes:
 * **Windowing** — sweeps are grouped into fixed-length event-time
   windows, count-based (``sweeps_per_window`` sweeps, the paper's 10
   packets per fix) or time-based (an explicit ``window_duration_s``).
-* **Lateness** — a window closes only once the watermark (the largest
-  event time seen, minus the lateness bound) passes its end, so
-  out-of-order reads within the bound still make their window.  Reads
-  later than that are counted and dropped — never silently reordered
-  into an already-emitted window.
+* **Closing** — a *complete* window closes on the first read whose
+  event time reaches its end.  Complete means every expected (reader,
+  tag) pair has a full column in each sweep of its reader that lies
+  wholly inside the window; the expected pairs are those with a full
+  column in the last closed window plus those with one in this window,
+  so a pair that never yields a full column (a dead antenna, a garbage
+  EPC) does not block.  The verdict is taken once, by one scan of the
+  window's cells, when that first read past its end arrives.
+* **Lateness** — every other window (an incomplete one, and the first
+  window of an assembler's life, which has no expected pairs yet)
+  closes only once the watermark (the largest event time seen, minus
+  the lateness bound) passes its end, so out-of-order reads within the
+  bound still make their window.  The lateness bound is therefore the
+  upper bound on how long a window waits.  Reads later than that are
+  counted and dropped — never silently reordered into an
+  already-emitted window.
+
+Each emitted window says why it closed (``closed_by``: ``"complete"``,
+``"watermark"`` or ``"flush"``), and the ``stream.window.closes{by}``
+counter tallies the same.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -119,6 +134,10 @@ class SnapshotWindow:
     sweeps: int
     reads: int
     torn_sweeps: int
+    #: Why the window closed: ``"complete"`` (every expected pair's
+    #: sweeps were in at the first read past its end), ``"watermark"``
+    #: (the lateness bound ran out) or ``"flush"`` (end of stream).
+    closed_by: str
 
 
 @dataclass
@@ -177,11 +196,23 @@ class WindowAssembler:
         self._pending: Dict[int, _PendingWindow] = {}
         self._max_time: Optional[float] = None
         self._emitted_through = -1
-        #: Earliest end time among pending windows; lets push() skip the
-        #: per-read readiness scan until the watermark can actually
-        #: close something.  Derived state — recomputed after every
-        #: emission and on checkpoint restore.
+        #: (reader, tag) pairs with a full column in the last closed
+        #: window; ``None`` before the first close, so the first window
+        #: of an assembler's life waits for the watermark.
+        self._expected: Optional[Set[Tuple[str, str]]] = None
+        #: Highest window index whose completeness has been judged.  A
+        #: window judged incomplete waits for the watermark without
+        #: being rescanned on every read.
+        self._judged_through = -1
+        #: Earliest end time among pending windows, and how far behind
+        #: the largest event time it must lie before push() looks at
+        #: the windows: zero while the earliest window awaits its
+        #: completeness verdict, the lateness bound once judged.  Lets
+        #: push() skip the readiness scan until something can actually
+        #: close.  Derived state — recomputed after every emission and
+        #: on checkpoint restore.
         self._min_pending_end: Optional[float] = None
+        self._due_lag = 0.0
         self.late_reads = 0
         self.torn_sweeps = 0
         self.duplicate_reads = 0
@@ -200,7 +231,11 @@ class WindowAssembler:
 
     @property
     def watermark(self) -> Optional[float]:
-        """Largest event time seen minus the lateness bound."""
+        """Largest event time seen minus the lateness bound.
+
+        Incomplete windows close once this passes their end; a
+        complete window can close while it is still below.
+        """
         if self._max_time is None:
             return None
         return self._max_time - self.lateness_s
@@ -268,6 +303,9 @@ class WindowAssembler:
             end_s = (index + 1) * window_s
             if self._min_pending_end is None or end_s < self._min_pending_end:
                 self._min_pending_end = end_s
+                self._due_lag = (
+                    self.lateness_s if index <= self._judged_through else 0.0
+                )
         window.reads += 1
         # get-then-insert instead of setdefault: the default dict
         # argument would be allocated on every read, hit or miss.
@@ -285,16 +323,17 @@ class WindowAssembler:
         max_time = self._max_time
         if max_time is None or time_s > max_time:
             self._max_time = max_time = time_s
-        # Fast path for the by-far common case: nothing can close yet.
+        # Fast path for the by-far common case: nothing can close or be
+        # judged yet.
         min_pending_end = self._min_pending_end
-        if min_pending_end is None or min_pending_end > max_time - self.lateness_s:
+        if min_pending_end is None or min_pending_end > max_time - self._due_lag:
             return []
-        return self._emit_ready()
+        return self._emit_ready(max_time)
 
     def flush(self) -> List[SnapshotWindow]:
         """Close and emit every pending window (end of stream)."""
         emitted = [
-            self._close(index) for index in sorted(self._pending)
+            self._close(index, "flush") for index in sorted(self._pending)
         ]
         self._pending.clear()
         self._min_pending_end = None
@@ -302,39 +341,89 @@ class WindowAssembler:
             self._emitted_through = max(w.index for w in emitted)
         return [w for w in emitted if w.sweeps > 0]
 
-    def _emit_ready(self) -> List[SnapshotWindow]:
-        max_time = self._max_time
-        if max_time is None:
-            return []
+    def _emit_ready(self, max_time: float) -> List[SnapshotWindow]:
+        """Close pending windows in order while each may close.
+
+        A window may close once the watermark passes its end, or — if
+        judged complete — once the largest event time reaches it.  The
+        first window that may not close stops the scan, so windows
+        always close in index order.
+        """
         watermark = max_time - self.lateness_s
-        # Fast path for the by-far common case: nothing can close yet.
-        min_pending_end = self._min_pending_end
-        if min_pending_end is None or min_pending_end > watermark:
-            return []
-        ready = sorted(
-            index
-            for index in self._pending
-            if (index + 1) * self.window_s <= watermark
-        )
         emitted: List[SnapshotWindow] = []
-        for index in ready:
-            window = self._close(index)
+        for index in sorted(self._pending):
+            end_s = (index + 1) * self.window_s
+            if end_s <= watermark:
+                closed_by = "watermark"
+            elif end_s <= max_time and index > self._judged_through:
+                self._judged_through = index
+                if not self._complete(index):
+                    break
+                closed_by = "complete"
+            else:
+                break
+            window = self._close(index, closed_by)
             del self._pending[index]
             self._emitted_through = max(self._emitted_through, index)
             if window.sweeps > 0:
                 emitted.append(window)
-        if ready:
-            self._min_pending_end = min(
-                ((index + 1) * self.window_s for index in self._pending),
-                default=None,
-            )
+        self._refresh_due()
         return emitted
 
-    def _close(self, index: int) -> SnapshotWindow:
+    def _refresh_due(self) -> None:
+        """Recompute the push() fast-path bound from the pending windows."""
+        if not self._pending:
+            self._min_pending_end = None
+            return
+        first = min(self._pending)
+        self._min_pending_end = (first + 1) * self.window_s
+        self._due_lag = self.lateness_s if first <= self._judged_through else 0.0
+
+    def _complete(self, index: int) -> bool:
+        """Whether every expected pair of window ``index`` is in.
+
+        Expected are the pairs with a full column in the last closed
+        window plus those with one in this window.  Each must have a
+        full column in every sweep of its reader that lies wholly
+        inside the window; a sweep straddling the window edge is torn
+        on this side and never counts.  ``False`` before the first
+        close, when there is nothing to expect yet.
+        """
+        if self._expected is None:
+            return False
+        start_s, end_s = index * self.window_s, (index + 1) * self.window_s
+        done: Set[Tuple[str, str]] = set()
+        # reader -> (sweeps wholly inside the window, antennas per sweep)
+        shapes: Dict[str, Tuple[range, int]] = {}
+        for key, per_sweep in self._pending[index].cells.items():
+            shape = shapes.get(key[0])
+            if shape is None:
+                schedule = self.schedules[key[0]]
+                duration = schedule.duration
+                shape = shapes[key[0]] = (
+                    range(
+                        math.ceil(start_s / duration - _TIME_EPS),
+                        int(_floor(end_s / duration + _TIME_EPS)),
+                    ),
+                    len(schedule.slots),
+                )
+            inside, num_antennas = shape
+            if inside and all(
+                len(per_sweep.get(sweep_index, ())) == num_antennas
+                for sweep_index in inside
+            ):
+                done.add(key)
+            elif any(len(column) == num_antennas for column in per_sweep.values()):
+                # A pair with a full column here is expected too.
+                return False
+        return self._expected <= done
+
+    def _close(self, index: int, closed_by: str) -> SnapshotWindow:
         pending = self._pending[index]
         measurement = Measurement()
         torn = 0
         max_columns = 0
+        expected: Set[Tuple[str, str]] = set()
         for (reader_name, epc), per_sweep in sorted(pending.cells.items()):
             num_antennas = len(self.schedules[reader_name].slots)
             columns: List[List[complex]] = []
@@ -349,10 +438,13 @@ class WindowAssembler:
             matrix = np.asarray(columns, dtype=np.complex128).T  # (M, N)
             measurement.snapshots.setdefault(reader_name, {})[epc] = matrix
             max_columns = max(max_columns, matrix.shape[1])
+            expected.add((reader_name, epc))
+        self._expected = expected
         if torn:
             self.torn_sweeps += torn
             obs.count("stream.window.torn_sweeps", torn)
         obs.count("stream.window.closed")
+        obs.count("stream.window.closes", labels={"by": closed_by})
         return SnapshotWindow(
             index=index,
             start_s=index * self.window_s,
@@ -361,4 +453,5 @@ class WindowAssembler:
             sweeps=max_columns,
             reads=pending.reads,
             torn_sweeps=torn,
+            closed_by=closed_by,
         )

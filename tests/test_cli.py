@@ -219,6 +219,8 @@ class TestStreamTelemetryFlags:
         assert "environment table" in out
         assert "faults seen:" in out
         assert "path=" not in out
+        # The first window has no history and waits for the watermark.
+        assert "closed=watermark" in out
 
     def test_provenance_json_mode_is_machine_readable(self, tmp_path, capsys):
         fix_log = tmp_path / "fixes.jsonl"

@@ -42,6 +42,7 @@ PROVENANCE = FixProvenance(
     watermark_s=1.25,
     lateness_s=0.02,
     checkpoint_lineage=("abc123def456",),
+    closed_by="complete",
 )
 
 
@@ -136,6 +137,19 @@ class TestFixLog:
         assert loaded.provenance == PROVENANCE
         assert "spectral_path" not in loaded.provenance.to_dict()
 
+    def test_logs_without_closed_by_load_as_none(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        write_fix_log(path, [some_fix(0, PROVENANCE)])
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        del record["provenance"]["closed_by"]
+        path.write_text(header + "\n" + json.dumps(record) + "\n")
+        (loaded,) = read_fix_log(path)
+        assert loaded.provenance.closed_by is None
+        assert loaded.provenance == dataclasses.replace(
+            PROVENANCE, closed_by=None
+        )
+
     def test_crash_leaves_parseable_prefix(self, tmp_path):
         # Header goes to disk eagerly: a writer that never appends (a
         # crash before the first fix) still leaves a valid, empty log.
@@ -177,6 +191,11 @@ class TestRunnerIntegration:
         reads = synthetic_reads(scene, SyntheticStreamConfig(fixes=3), rng=28)
         fixes = list(runner.run(iter(reads)))
         assert fixes
+        # The first window waits for the watermark, later complete ones
+        # close early, and the end of the stream flushes the last.
+        assert [f.provenance.closed_by for f in fixes] == [
+            "watermark", "complete", "flush"
+        ]
         for fix in fixes:
             assert fix.provenance is not None
             assert fix.provenance.window_index == fix.index

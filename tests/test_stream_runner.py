@@ -104,6 +104,21 @@ class TestNonFiniteReads:
         assert len(list(runner.run(iter(reads)))) == 4
         assert runner.rejected_reads == 1
 
+    def test_rejected_read_never_reaches_reader_health(self, tracking):
+        scene, dwatch = tracking
+        reads = self._reads(scene)
+        reads[5] = bad = dataclasses.replace(reads[5], time_s=math.inf)
+        runner = StreamRunner(dwatch)
+        list(runner.run(iter(reads)))
+        assert runner.rejected_reads == 1
+        (record,) = [
+            r for r in runner.health.report() if r.name == bad.reader_name
+        ]
+        assert math.isfinite(record.last_read_s)
+        assert record.reads == sum(
+            1 for read in reads if read.reader_name == bad.reader_name
+        ) - 1
+
 
 class TestPreconditions:
     def test_uncalibrated_pipeline_is_rejected(self, tracking):

@@ -6,15 +6,6 @@ from repro.core.likelihood import LikelihoodMap, LocationEstimate
 from repro.core.localizer import DWatchLocalizer
 from repro.core.multitarget import MultiTargetLocalizer
 from repro.core.tracker import KalmanTracker, TrackPoint
-from repro.core.particle import ParticleTracker
-from repro.core.fusion import FusedFix, fuse_fixes, geometric_median
-from repro.core.presence import (
-    PresenceDetector,
-    RocPoint,
-    auc,
-    presence_score,
-    roc_curve,
-)
 from repro.core.pipeline import DWatch, calibrate_readers
 
 __all__ = [
@@ -29,15 +20,6 @@ __all__ = [
     "MultiTargetLocalizer",
     "KalmanTracker",
     "TrackPoint",
-    "ParticleTracker",
-    "FusedFix",
-    "fuse_fixes",
-    "geometric_median",
-    "PresenceDetector",
-    "RocPoint",
-    "auc",
-    "presence_score",
-    "roc_curve",
     "DWatch",
     "calibrate_readers",
 ]

@@ -22,6 +22,20 @@ from repro.core.likelihood import LikelihoodMap, LocationEstimate
 from repro.errors import LocalizationError
 from repro.utils.angles import deg2rad
 
+#: Maximum reject-and-re-estimate iterations.
+OUTLIER_ROUNDS = 2
+#: A reader counts towards consensus only if it contributes at least
+#: one consistent event with a drop this deep.  A genuine body shadow
+#: collapses its path deeply (relative drop >= 0.9, or >= 0.7 when
+#: grazing the Fresnel zone) whatever the path's stability confidence,
+#: while the cross-term artifacts of the coherent Bartlett reading
+#: produce shallow 0.5-0.7 drops; a ghost assembled purely from
+#: artifacts should read as "uncovered".
+SUPPORT_MIN_EVENT_DROP = 0.7
+#: ...and at least this much stability confidence, so a lobe that
+#: collapses on its own between empty captures cannot vouch alone.
+SUPPORT_MIN_EVENT_CONFIDENCE = 0.3
+
 
 @dataclass
 class DWatchLocalizer:
@@ -35,8 +49,6 @@ class DWatchLocalizer:
         Angular agreement (radians) required between a reader's blocked
         angle and the angle under which the reader sees the final
         estimate; events outside it are treated as wrong-angle outliers.
-    outlier_rounds:
-        Maximum reject-and-re-estimate iterations.
     min_readers:
         Minimum readers with blocking evidence.  A single bearing
         cannot fix a position (the likelihood is a ridge along the
@@ -46,22 +58,7 @@ class DWatchLocalizer:
 
     likelihood_map: LikelihoodMap
     consistency_tolerance: float = deg2rad(6.0)
-    outlier_rounds: int = 2
     min_readers: int = 2
-    #: Polish the final fix with Gauss-Newton bearing triangulation
-    #: over the consistent events; converges below grid resolution.
-    refine_by_triangulation: bool = True
-    #: A reader counts towards consensus only if it contributes at
-    #: least one consistent event with a drop this deep.  A genuine
-    #: body shadow collapses its path deeply (relative drop >= 0.9, or >= 0.7 when grazing the Fresnel zone)
-    #: whatever the path's stability confidence, while the cross-term
-    #: artifacts of the coherent Bartlett reading produce shallow
-    #: 0.5-0.7 drops; a ghost assembled purely from artifacts should
-    #: read as "uncovered".
-    support_min_event_drop: float = 0.7
-    #: ...and at least this much stability confidence, so a lobe that
-    #: collapses on its own between empty captures cannot vouch alone.
-    support_min_event_confidence: float = 0.3
 
     def localize(self, evidence: Sequence[AngleEvidence]) -> LocationEstimate:
         """Locate one target, rejecting wrong-angle outliers.
@@ -82,7 +79,7 @@ class DWatchLocalizer:
         with obs.span("localizer.solve", readers=detecting) as sp:
             estimate = self._consensus_estimate(current)
             rounds = 0
-            for _ in range(self.outlier_rounds):
+            for _ in range(OUTLIER_ROUNDS):
                 filtered = self._reject_outliers(current, estimate)
                 rejected = _event_count(current) - _event_count(filtered)
                 if rejected == 0:
@@ -95,16 +92,15 @@ class DWatchLocalizer:
                 estimate = self._consensus_estimate(current)
             obs.count("localizer.outlier_rounds", rounds)
             sp.set(outlier_rounds=rounds)
-            if self.refine_by_triangulation:
-                estimate = self._triangulate(current, estimate)
-            return estimate
+            return self._triangulate(current, estimate)
 
     def _triangulate(
         self,
         evidence: Sequence[AngleEvidence],
         estimate: LocationEstimate,
     ) -> LocationEstimate:
-        """Gauss-Newton polish over the consistent bearings.
+        """Gauss-Newton polish over the consistent bearings; converges
+        below grid resolution.
 
         The refined point is accepted only when it stays near the
         consensus pick and inside the room — the polish is for the last
@@ -203,8 +199,8 @@ class DWatchLocalizer:
             ]
             if consistent:
                 if any(
-                    event.relative_drop >= self.support_min_event_drop
-                    and event.confidence >= self.support_min_event_confidence
+                    event.relative_drop >= SUPPORT_MIN_EVENT_DROP
+                    and event.confidence >= SUPPORT_MIN_EVENT_CONFIDENCE
                     for event in consistent
                 ):
                     readers += 1

@@ -31,6 +31,15 @@ from repro.core.likelihood import LocationEstimate, Surface
 from repro.core.localizer import DWatchLocalizer
 from repro.utils.angles import deg2rad
 
+#: Reported targets must be at least this far apart (metres); the merge
+#: distance for close targets.
+MIN_SEPARATION = 0.2
+#: Parsimony penalty: a target enters the solution only if it adds at
+#: least this much uniquely explained event weight.
+MIN_MARGINAL_WEIGHT = 0.8
+#: Number of strongest candidates entering the subset search.
+POOL_SIZE = 14
+
 
 @dataclass
 class MultiTargetLocalizer:
@@ -41,42 +50,30 @@ class MultiTargetLocalizer:
     localizer:
         Supplies the likelihood map, consistency tolerance and
         minimum-reader rule (shared with single-target operation).
-    max_targets:
-        Upper bound on reported targets.
     explain_tolerance:
         Events within this angle (radians) of a target's per-reader
         angle count as explained by it.
-    min_separation:
-        Reported targets must be at least this far apart (metres); the
-        merge distance for close targets.
-    min_marginal_weight:
-        Parsimony penalty: a target enters the solution only if it
-        adds at least this much uniquely explained event weight.
-    pool_size:
-        Number of strongest candidates entering the subset search.
     """
 
     localizer: DWatchLocalizer
-    max_targets: int = 3
     explain_tolerance: float = deg2rad(8.0)
-    min_separation: float = 0.2
-    min_marginal_weight: float = 0.8
-    pool_size: int = 14
 
-    def localize(self, evidence: Sequence[AngleEvidence]) -> List[LocationEstimate]:
+    def localize(
+        self, evidence: Sequence[AngleEvidence], max_targets: int = 3
+    ) -> List[LocationEstimate]:
         """Locate up to ``max_targets`` targets, strongest first."""
         active = [item for item in evidence if item.has_detection]
         if not active:
             return []
         lmap = self.localizer.likelihood_map
-        with obs.span("multitarget.solve", max_targets=self.max_targets) as sp:
+        with obs.span("multitarget.solve", max_targets=max_targets) as sp:
             surface = lmap.evaluate(evidence)
-            candidates = self._candidate_pool(surface, evidence)
+            candidates = self._candidate_pool(surface, evidence, max_targets)
             sp.set(candidates=len(candidates))
             obs.gauge("multitarget.pool_size", len(candidates))
             if not candidates:
                 return []
-            chosen = self._assign(evidence, candidates)
+            chosen = self._assign(evidence, candidates, max_targets)
             results = lmap.refine(surface, evidence, [c.position for c in chosen])
             results.sort(key=lambda estimate: estimate.likelihood, reverse=True)
             sp.set(targets=len(results))
@@ -87,6 +84,7 @@ class MultiTargetLocalizer:
         self,
         evidence: Sequence[AngleEvidence],
         candidates: List[LocationEstimate],
+        max_targets: int,
     ) -> List[LocationEstimate]:
         """The maximum-coverage subset search over the candidate pool."""
         explains = [
@@ -98,11 +96,11 @@ class MultiTargetLocalizer:
             range(len(candidates)),
             key=lambda i: sum(event_weights[e] for e in explains[i]),
             reverse=True,
-        )[: self.pool_size]
+        )[:POOL_SIZE]
 
         best_subset: Tuple[int, ...] = ()
         best_score = 0.0
-        for size in range(1, self.max_targets + 1):
+        for size in range(1, max_targets + 1):
             for subset in itertools.combinations(order, size):
                 if not self._well_separated(subset, candidates):
                     continue
@@ -115,7 +113,7 @@ class MultiTargetLocalizer:
                         for e in explains[index]
                         if e not in union
                     )
-                    if marginal < self.min_marginal_weight:
+                    if marginal < MIN_MARGINAL_WEIGHT:
                         feasible = False
                         break
                     union |= explains[index]
@@ -125,20 +123,23 @@ class MultiTargetLocalizer:
                     score += marginal * (0.05 + candidates[index].likelihood)
                 if not feasible:
                     continue
-                score -= self.min_marginal_weight * 0.05 * size
+                score -= MIN_MARGINAL_WEIGHT * 0.05 * size
                 if score > best_score:
                     best_subset, best_score = subset, score
 
         return [candidates[index] for index in best_subset]
 
     def _candidate_pool(
-        self, surface: Surface, evidence: Sequence[AngleEvidence]
+        self,
+        surface: Surface,
+        evidence: Sequence[AngleEvidence],
+        max_targets: int,
     ) -> List[LocationEstimate]:
         """Likelihood modes plus every cross-reader ray intersection,
         screened by the single-target consensus rule."""
         lmap = self.localizer.likelihood_map
         pool = lmap.peel_modes(
-            surface, evidence, max_modes=4 * self.max_targets, min_separation=0.25
+            surface, evidence, max_modes=4 * max_targets, min_separation=0.25
         )
         pool += lmap.crossing_candidates(evidence, pool, 0.1)
         screened = []
@@ -184,6 +185,6 @@ class MultiTargetLocalizer:
                 distance = candidates[a].position.distance_to(
                     candidates[b].position
                 )
-                if distance < self.min_separation:
+                if distance < MIN_SEPARATION:
                     return False
         return True

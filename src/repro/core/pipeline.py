@@ -243,8 +243,7 @@ class DWatch:
             if max_targets <= 1:
                 estimates = [self.localizer.localize(evidence)]
             else:
-                self.multi_localizer.max_targets = max_targets
-                estimates = self.multi_localizer.localize(evidence)
+                estimates = self.multi_localizer.localize(evidence, max_targets)
         except LocalizationError:
             # Too few readers saw the target: an uncovered location,
             # counted against the coverage rate rather than accuracy.

@@ -23,13 +23,6 @@ from repro.dsp.batch import (
     batched_smoothed_from_full,
     default_subarray_size,
 )
-from repro.dsp.doppler import (
-    DopplerEstimate,
-    estimate_doppler,
-    phase_stream,
-    speed_track,
-    synthesize_moving_reflection,
-)
 
 __all__ = [
     "AngularSpectrum",
@@ -54,9 +47,4 @@ __all__ = [
     "batched_sample_covariance",
     "batched_smoothed_from_full",
     "config_from_estimator",
-    "DopplerEstimate",
-    "estimate_doppler",
-    "phase_stream",
-    "speed_track",
-    "synthesize_moving_reflection",
 ]

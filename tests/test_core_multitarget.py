@@ -85,7 +85,6 @@ class TestMultiTarget:
         assert multi.localize(empty) == []
 
     def test_respects_max_targets(self, readers, multi):
-        multi.max_targets = 1
         targets = [Point(1.5, 4.5), Point(4.5, 1.5)]
-        estimates = multi.localize(merged_evidence(readers, targets))
+        estimates = multi.localize(merged_evidence(readers, targets), max_targets=1)
         assert len(estimates) == 1

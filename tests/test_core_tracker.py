@@ -19,6 +19,28 @@ def straight_line_fixes(n, speed=0.5, dt=0.1, noise=0.0, rng=None):
     return points
 
 
+def l_walk_with_deadzone(rng):
+    """60 steps of an L-shaped walk with noisy fixes; the turn at step 30
+    falls inside a one-second gap (steps 30-39) where every fix is missing."""
+    truth, fixes = [], []
+    for step in range(60):
+        if step < 30:
+            position = Point(1.0 + step * 0.1, 1.0)
+        else:
+            position = Point(4.0, 1.0 + (step - 30) * 0.1)
+        truth.append(position)
+        if 30 <= step < 40:
+            fixes.append(None)
+        else:
+            fixes.append(
+                Point(
+                    position.x + rng.normal(0, 0.12),
+                    position.y + rng.normal(0, 0.12),
+                )
+            )
+    return truth, fixes
+
+
 class TestInitialization:
     def test_first_update_requires_fix(self):
         tracker = KalmanTracker()
@@ -84,6 +106,21 @@ class TestDeadzoneBridging:
         gap_point = tracker.update(3.05, None)
         assert gap_point.predicted_only
         assert gap_point.position.x == pytest.approx(3.05, abs=0.25)
+
+    def test_keeps_track_through_turn_in_gap(self):
+        # The Section 8 mobility mitigation: coast through a deadzone
+        # on the motion model and re-acquire after the turn.
+        errors = []
+        for seed in range(700, 706):
+            truth, fixes = l_walk_with_deadzone(np.random.default_rng(seed))
+            tracker = KalmanTracker(process_noise=1.2)
+            track = tracker.track([i * 0.1 for i in range(len(fixes))], fixes)
+            offset = len(fixes) - len(track)
+            errors.extend(
+                point.position.distance_to(truth[i + offset])
+                for i, point in enumerate(track[10:], start=10)
+            )
+        assert float(np.mean(errors)) < 0.5
 
     def test_track_skips_leading_deadzone(self):
         tracker = KalmanTracker()

@@ -10,6 +10,8 @@ def test_fig14_overall_localization(benchmark):
         benchmark, run_fig14, num_locations=16, repeats=2, rng=107
     )
     print_rows("Fig. 14: per-environment localization", result)
+    assert set(result.results) == {"library", "laboratory", "hall"}
+    assert len(result.rows()) == 4  # header + one row per environment
     # Paper: decimeter-level medians (16.5 / 25.3 / 32.1 cm).  The
     # simulated substrate reproduces the decimeter regime for covered
     # locations in every environment.

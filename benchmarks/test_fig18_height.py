@@ -18,6 +18,7 @@ def test_fig18_height(benchmark):
         rng=111,
     )
     print_rows("Fig. 18: height-difference sweep (library)", result)
+    assert result.height_difference_cm == [0.0, 40.0, 80.0, 120.0]
     # Paper: ~24 cm mean error at 40 cm difference, ~40 cm at 120 cm —
     # degradation is graceful, the system keeps working.  We assert the
     # large-height case stays within the paper's sub-metre regime and

@@ -20,9 +20,12 @@
 #                   phase-glitch, epc-misread, overload, late-burst)
 #                   must still emit fixes
 #   7. ops        — live /metrics scrape must pass the exposition validator
-#   8. bench      — scripts/bench.py --smoke writes .check/BENCH_pipeline.json
-#                   (report-only --compare against the committed record)
-#   9. obs bench  — scripts/bench.py --obs --smoke writes .check/BENCH_obs.json
+#   8. bench      — `python -m bench run --smoke` runs every workload of
+#                   the repo benchmark and writes its record to
+#                   .check/bench/; fails when a repeat or traced phase
+#                   disagrees or a fix leaks across deployments
+#   9. obs overhead — scripts/obs_overhead.py --smoke writes
+#                   .check/BENCH_obs.json
 #  10. soak       — scripts/soak.py --smoke (bounded RSS/cardinality/queues)
 #                   writes .check/SOAK_report.json
 #  11. serve      — scripts/loadgen.py --smoke drives a shard fleet over
@@ -35,8 +38,8 @@
 #  13. pytest     — the tier-1 suite
 #
 # Reports and smoke records land in the gitignored .check/ directory,
-# so a check run never overwrites the committed full-run BENCH_*.json
-# records and leaves nothing else in the tree.
+# so a check run never overwrites the committed BENCH_*.json records
+# and leaves nothing else in the tree.
 
 set -euo pipefail
 
@@ -130,22 +133,14 @@ print(f"ops smoke ok: {len(fixes)} logged fixes, "
       f"{len(families)} exposed families")
 OPS_SMOKE
 
-echo "== bench smoke (perf harness writes .check/BENCH_pipeline.json) =="
-# Validates the perf-trajectory harness end to end; the smoke workload
-# is sized for gating, not for recording speedups (run bench.py without
-# --smoke for those).  When a committed record exists it is diffed
-# report-only: smoke workloads on a loaded runner jitter past the 15%
-# gate routinely, so regressions print here but do not fail the check.
-if [ -f BENCH_pipeline.json ]; then
-    PYTHONPATH=src python scripts/bench.py --smoke \
-        --output .check/BENCH_pipeline.json --compare BENCH_pipeline.json \
-        || echo "bench compare: regression reported (report-only in check.sh)"
-else
-    PYTHONPATH=src python scripts/bench.py --smoke --output .check/BENCH_pipeline.json
-fi
+echo "== bench smoke (repo benchmark, every workload; record in .check/bench/) =="
+# Smoke inputs check the harness and the fix path end to end, not speed:
+# the exit status is non-zero when any output is wrong.  Speed is judged
+# by full runs and `python -m bench compare` (bench/README.md).
+timeout 600 python -m bench run --smoke --out .check/bench
 
-echo "== obs bench smoke (overhead harness writes .check/BENCH_obs.json) =="
-PYTHONPATH=src python scripts/bench.py --obs --smoke --output .check/BENCH_obs.json
+echo "== obs overhead smoke (writes .check/BENCH_obs.json) =="
+PYTHONPATH=src python scripts/obs_overhead.py --smoke --output .check/BENCH_obs.json
 
 echo "== chaos soak smoke (bounded RSS, flat cardinality, drained queues) =="
 timeout 600 env PYTHONPATH=src python scripts/soak.py --smoke \

@@ -429,8 +429,9 @@ def latency_stage_stats(
     Collects the ``latency.*`` histograms that spans feed automatically
     and strips the prefix, returning
     ``{stage: {"count", "mean", "p90", "max"}}`` in the span's native
-    milliseconds.  Shared by the latency experiment, the throughput
-    runner, and ``scripts/bench.py``.
+    milliseconds.  The latency experiment
+    (:mod:`repro.experiments.latency`) reads its per-stage breakdown
+    through it.
     """
     stages: Dict[str, Dict[str, float]] = {}
     for record in records:

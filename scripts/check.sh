@@ -105,18 +105,20 @@ done
 echo "== ops smoke (telemetry run, live /metrics must validate) =="
 # A stream with every telemetry flag on: the fix log must be readable
 # and the live scrape must pass the in-repo Prometheus validator.
-timeout 300 env PYTHONPATH=src python - <<'OPS_SMOKE'
+timeout 300 env PYTHONPATH=src SMOKE_DIR="$SMOKE_DIR" python - <<'OPS_SMOKE'
+import os
 import urllib.request
 from repro.cli import main
 from repro.obs.export import validate_exposition
 from repro.stream import read_fix_log
 
+fix_log = os.path.join(os.environ["SMOKE_DIR"], "fixes.jsonl")
 code = main([
     "--quiet", "stream", "--environment", "table", "--seed", "7",
-    "--fixes", "2", "--fix-log", "/tmp/check-fixes.jsonl",
+    "--fixes", "2", "--fix-log", fix_log,
 ])
 assert code == 0, f"telemetry stream exited {code}"
-fixes = list(read_fix_log("/tmp/check-fixes.jsonl"))
+fixes = list(read_fix_log(fix_log))
 assert fixes and all(f.provenance is not None for f in fixes), \
     "fix log missing provenance"
 

@@ -75,10 +75,6 @@ class AngleEvidence:
         """Whether this reader saw at least one blocked path."""
         return bool(self.events)
 
-    def blocked_angles(self) -> List[float]:
-        """Angles of all blocking events (radians)."""
-        return [event.angle for event in self.events]
-
     def without_events_near(self, angle: float, tolerance: float) -> "AngleEvidence":
         """Evidence with events within ``tolerance`` of ``angle`` removed.
 

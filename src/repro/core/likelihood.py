@@ -101,6 +101,101 @@ class LocationEstimate:
         return float(self.likelihood ** (1.0 / len(self.per_reader_angles)))
 
 
+@dataclass(frozen=True)
+class Events:
+    """The events of an evidence set, flattened once, in evidence order.
+
+    ``names`` are the readers of the detecting evidence items, and
+    ``column[e]`` is the item event ``e`` belongs to: its column in a
+    :class:`Candidates` angle matrix.
+    """
+
+    names: Tuple[str, ...]
+    column: np.ndarray
+    angle: np.ndarray
+    weight: np.ndarray
+    drop: np.ndarray
+    confidence: np.ndarray
+
+    @classmethod
+    def of(cls, evidence: Sequence[AngleEvidence]) -> "Events":
+        active = _detecting(evidence)
+        table = np.array(
+            [
+                (column, e.angle, e.weight, e.relative_drop, e.confidence)
+                for column, item in enumerate(active)
+                for e in item.events
+            ],
+            dtype=float,
+        ).reshape(-1, 5)
+        return cls(
+            tuple(item.reader_name for item in active),
+            table[:, 0].astype(int),
+            *np.ascontiguousarray(table[:, 1:].T),
+        )
+
+    def spans(self) -> List[slice]:
+        """Each detecting item's events, as slices of the flat arrays."""
+        bounds = np.searchsorted(self.column, np.arange(len(self.names) + 1))
+        return [slice(a, b) for a, b in zip(bounds.tolist(), bounds[1:].tolist())]
+
+    def within(self, angles: np.ndarray, tolerance: float) -> np.ndarray:
+        """``(K, E)``: which events agree with which candidates.
+
+        Event ``e`` agrees with candidate ``k`` when its angle is within
+        ``tolerance`` of ``angles[k, column[e]]``, the angle at which its
+        reader sees the candidate.  This is the consistency rule of the
+        paper's Sections 4.3 and 6.7; consensus support, outlier
+        rejection, multi-target explanation and the triangulation
+        bearings are all reductions or rows of this matrix.
+        """
+        return np.abs(self.angle - angles[:, self.column]) <= tolerance
+
+
+@dataclass(frozen=True)
+class Candidates:
+    """Candidate positions scored against one evidence set, as arrays.
+
+    ``positions`` is ``(K, 2)``, ``likelihood`` the exact Eq. 15 value
+    ``(K,)``, and ``angles`` ``(K, R)``: the angle at which the reader of
+    each detecting evidence item (``readers``, in evidence order) sees
+    each position.
+    """
+
+    positions: np.ndarray
+    likelihood: np.ndarray
+    angles: np.ndarray
+    readers: Tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.likelihood)
+
+    def __getitem__(self, rows: np.ndarray) -> "Candidates":
+        """The candidates at ``rows``: an index array or a boolean mask."""
+        return Candidates(
+            self.positions[rows], self.likelihood[rows], self.angles[rows], self.readers
+        )
+
+    def __add__(self, other: "Candidates") -> "Candidates":
+        return Candidates(
+            np.concatenate([self.positions, other.positions]),
+            np.concatenate([self.likelihood, other.likelihood]),
+            np.concatenate([self.angles, other.angles]),
+            self.readers,
+        )
+
+    def estimates(self) -> List[LocationEstimate]:
+        """One :class:`LocationEstimate` per candidate."""
+        return [
+            LocationEstimate(Point(x, y), value, dict(zip(self.readers, angles)))
+            for (x, y), value, angles in zip(
+                self.positions.tolist(),
+                self.likelihood.tolist(),
+                self.angles.tolist(),
+            )
+        ]
+
+
 @dataclass
 class LikelihoodMap:
     """Grid evaluation of the Eq. 15 likelihood over a room.
@@ -197,7 +292,7 @@ class LikelihoodMap:
         no angle information, and multiplying their flat floor in would
         only rescale the surface.
         """
-        active = [e for e in evidence if e.has_detection]
+        active = _detecting(evidence)
         xs, ys = self.grid_points()
         likelihood = np.ones((ys.size, xs.size), dtype=float)
         if not active:
@@ -237,23 +332,8 @@ class LikelihoodMap:
         if not any(e.has_detection for e in evidence):
             raise LocalizationError("no blocking evidence: nothing to localize")
         with obs.span("grid.search"):
-            return self.peel_modes(self.evaluate(evidence), evidence, max_modes=1)[0]
-
-    def top_modes(
-        self,
-        evidence: Sequence[AngleEvidence],
-        max_modes: int = 5,
-        min_separation: float = 0.5,
-    ) -> List[LocationEstimate]:
-        """The strongest local maxima of the likelihood surface.
-
-        :meth:`peel_modes` on a fresh :meth:`evaluate` surface; callers
-        that need the surface again (for :meth:`refine`) evaluate it
-        themselves and call :meth:`peel_modes`.
-        """
-        return self.peel_modes(
-            self.evaluate(evidence), evidence, max_modes, min_separation
-        )
+            modes = self.peel_modes(self.evaluate(evidence), evidence, max_modes=1)
+            return modes.estimates()[0]
 
     def peel_modes(
         self,
@@ -261,7 +341,7 @@ class LikelihoodMap:
         evidence: Sequence[AngleEvidence],
         max_modes: int = 5,
         min_separation: float = 0.5,
-    ) -> List[LocationEstimate]:
+    ) -> Candidates:
         """Greedy modes of an :meth:`evaluate` surface, refined.
 
         Up to ``max_modes`` times, the highest remaining cell is taken
@@ -274,14 +354,14 @@ class LikelihoodMap:
         # Suppression only reaches min_separation, so the distance test
         # runs on the cell's bounding-box window, not the whole grid.
         reach = int(min_separation / self.cell_size) + 1
-        cells: List[Point] = []
+        cells: List[Tuple[float, float]] = []
         with obs.span("grid.modes", max_modes=max_modes):
             for _ in range(max_modes):
                 iy, ix = np.unravel_index(int(np.argmax(working)), working.shape)
                 if working[iy, ix] <= 0.0:
                     break
                 x, y = float(xs[ix]), float(ys[iy])
-                cells.append(Point(x, y))
+                cells.append((x, y))
                 iy0, ix0 = max(iy - reach, 0), max(ix - reach, 0)
                 window = working[iy0 : iy + reach + 1, ix0 : ix + reach + 1]
                 rows, cols = window.shape
@@ -289,15 +369,15 @@ class LikelihoodMap:
                     ys[iy0 : iy0 + rows, None] - y
                 ) ** 2 < threshold
                 window[suppress] = 0.0
-            return self.refine(surface, evidence, cells)
+            return self.refine(surface, evidence, np.array(cells).reshape(-1, 2))
 
     def refine(
         self,
         surface: Surface,
         evidence: Sequence[AngleEvidence],
-        positions: Sequence[Point],
-    ) -> List[LocationEstimate]:
-        """Sub-cell likelihood maxima near each of ``positions``.
+        positions: np.ndarray,
+    ) -> Candidates:
+        """Sub-cell likelihood maxima near each of ``positions`` (``(K, 2)``).
 
         Each position snaps to its nearest grid node, then steps to the
         best of its 3x3 neighbours on the surface until its node is a
@@ -306,14 +386,10 @@ class LikelihoodMap:
         in one evaluation; each position becomes its lattice's best
         point (ties go to the point nearest the node).
         """
-        if not positions:
-            return []
         xs, ys, likelihood = surface
         cell = self.cell_size
-        ix = np.rint((np.array([p.x for p in positions]) - xs[0]) / cell)
-        iy = np.rint((np.array([p.y for p in positions]) - ys[0]) / cell)
-        ix = np.clip(ix.astype(int), 0, xs.size - 1)
-        iy = np.clip(iy.astype(int), 0, ys.size - 1)
+        ix = np.clip(np.rint((positions[:, 0] - xs[0]) / cell).astype(int), 0, xs.size - 1)
+        iy = np.clip(np.rint((positions[:, 1] - ys[0]) / cell).astype(int), 0, ys.size - 1)
         modes = np.arange(len(positions))
         while True:
             cols = np.clip(ix[:, None] + _NEIGHBOURS[:, 0], 0, xs.size - 1)
@@ -325,38 +401,46 @@ class LikelihoodMap:
         room = self.room
         px = np.clip(xs[ix, None] + _LATTICE[:, 0] * cell, room.min_x, room.max_x)
         py = np.clip(ys[iy, None] + _LATTICE[:, 1] * cell, room.min_y, room.max_y)
-        active = [e for e in evidence if e.has_detection]
-        values = self._likelihood_points(px, py, active)
-        best = values.argmax(axis=1)
-        return [
-            self._estimate(
-                Point(float(px[k, b]), float(py[k, b])), float(values[k, b]), active
-            )
-            for k, b in enumerate(best)
-        ]
+        best = self._scored(px, py, _detecting(evidence))[1].argmax(axis=1)
+        return self.score(np.stack([px[modes, best], py[modes, best]], axis=1), evidence)
 
     def crossing_candidates(
         self,
         evidence: Sequence[AngleEvidence],
-        modes: Sequence[LocationEstimate],
+        modes: Candidates,
         radius: float,
-    ) -> List[LocationEstimate]:
+    ) -> Candidates:
         """Scored :meth:`ray_intersections` that the modes do not cover.
 
-        A crossing within ``radius`` of a mode or of an earlier kept
-        crossing is skipped; the rest are scored in one exact
-        evaluation.  Used by the consensus localizers to make sure the
-        true triangulated position is a candidate even when ghost modes
-        dominate the surface.
+        Greedily, in crossing order, a crossing within ``radius`` of a
+        mode or of an earlier kept crossing is skipped; each kept one
+        closes its neighbourhood in one distance row.  Used by the
+        consensus localizers to make sure the true triangulated position
+        is a candidate even when ghost modes dominate the surface.
         """
-        covered = [mode.position for mode in modes]
-        fresh: List[Point] = []
-        for crossing in self.ray_intersections(evidence):
-            if any(crossing.distance_to(p) < radius for p in covered):
-                continue
-            covered.append(crossing)
-            fresh.append(crossing)
-        return self._score(fresh, [e for e in evidence if e.has_detection])
+        crossings = self.ray_intersections(evidence)
+        x, y = crossings[:, 0], crossings[:, 1]
+        near = np.hypot(
+            x[:, None] - modes.positions[:, 0], y[:, None] - modes.positions[:, 1]
+        ) < radius
+        open_ = ~near.any(axis=1)
+        kept: List[int] = []
+        while open_.any():
+            first = int(np.argmax(open_))
+            kept.append(first)
+            open_ &= np.hypot(x - x[first], y - y[first]) >= radius
+            open_[first] = False
+        return self.score(crossings[kept], evidence)
+
+    def score(
+        self, positions: np.ndarray, evidence: Sequence[AngleEvidence]
+    ) -> Candidates:
+        """Exact :class:`Candidates` at ``positions`` (``(K, 2)``), unmoved."""
+        active = _detecting(evidence)
+        angles, values = self._scored(positions[:, 0], positions[:, 1], active)
+        return Candidates(
+            positions, values, angles, tuple(item.reader_name for item in active)
+        )
 
     def estimate_at(
         self, position: Point, evidence: Sequence[AngleEvidence]
@@ -366,50 +450,26 @@ class LikelihoodMap:
         Scores a position that does not come from the grid (e.g. a
         triangulated fix) exactly, without moving it.
         """
-        return self._score([position], [e for e in evidence if e.has_detection])[0]
-
-    def _score(
-        self, points: Sequence[Point], active: Sequence[AngleEvidence]
-    ) -> List[LocationEstimate]:
-        values = self._likelihood_points(
-            np.array([p.x for p in points]), np.array([p.y for p in points]), active
-        )
-        return [
-            self._estimate(point, float(value), active)
-            for point, value in zip(points, values)
-        ]
-
-    def _estimate(
-        self, position: Point, value: float, active: Sequence[AngleEvidence]
-    ) -> LocationEstimate:
-        angles = {
-            item.reader_name: self._reader_for(item.reader_name).array.angle_to(
-                position
-            )
-            for item in active
-        }
-        return LocationEstimate(
-            position=position, likelihood=value, per_reader_angles=angles
-        )
+        return self.score(np.array([[position.x, position.y]]), evidence).estimates()[0]
 
     #: Bearing quantum (radians) for ray deduplication.  Far below the
     #: 0.5-degree spectrum grid that blocked angles snap to, so only
     #: genuinely identical rays merge — several tags confirming the
     #: same blocked path produce events at the *same* grid angle, and
-    #: each duplicate ray used to re-cross every other ray in the O(n^2)
-    #: loop without ever adding a new candidate (identical crossings are
-    #: discarded by the consensus coverage check anyway).
+    #: each duplicate ray would re-cross every other ray without ever
+    #: adding a new candidate (identical crossings are discarded by the
+    #: consensus coverage check anyway).
     _RAY_BEARING_QUANTUM = 1e-6
 
-    #: Upper bound on rays entering the pairwise crossing loop; beyond
-    #: this the O(n^2) cost outweighs any candidate a further (mostly
+    #: Upper bound on rays entering the pairwise crossing; beyond this
+    #: the O(n^2) cost outweighs any candidate a further (mostly
     #: redundant) ray could contribute.
     _MAX_RAYS = 64
 
     def ray_intersections(
         self, evidence: Sequence[AngleEvidence], min_range: float = 0.3
-    ) -> List[Point]:
-        """In-room intersections of blocked-angle rays across readers.
+    ) -> np.ndarray:
+        """In-room intersections of blocked-angle rays across readers, ``(N, 2)``.
 
         Every pair of events from two different readers defines (up to
         four) ray crossings — a ULA angle maps to two mirror bearings
@@ -419,45 +479,47 @@ class LikelihoodMap:
         true position enters the consensus scoring even when ghost
         modes dominate the likelihood surface.
 
-        Rays are deduplicated by (reader, quantized bearing) and capped
-        at ``_MAX_RAYS`` before the pairwise loop; see the class
-        attributes for why neither changes the candidate set.
+        Rays are deduplicated by (reader, quantized bearing), then those
+        whose first ``min_range`` leaves the room are dropped, then the
+        list is capped at ``_MAX_RAYS``; see the class attributes for
+        why neither changes the candidate set.  All ray pairs are then
+        intersected in one vectorized step, in nested-loop order.
         """
-        rays: List[Tuple[str, Point, Point]] = []  # (reader, origin, direction)
-        seen: set = set()
-        for item in evidence:
-            if not item.has_detection:
-                continue
-            reader = self._reader_for(item.reader_name)
-            origin = reader.array.centroid
-            for event in item.events:
-                for sign in (1.0, -1.0):
-                    bearing = reader.array.orientation + sign * event.angle
-                    key = (
-                        item.reader_name,
-                        round(bearing / self._RAY_BEARING_QUANTUM),
-                    )
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    direction = Point(math.cos(bearing), math.sin(bearing))
-                    probe = origin + direction * min_range
-                    if self.room.contains(probe):
-                        rays.append((item.reader_name, origin, direction))
-        if len(rays) > self._MAX_RAYS:
-            obs.count("grid.rays_capped", len(rays) - self._MAX_RAYS)
+        events = Events.of(evidence)
+        arrays = [self._reader_for(name).array for name in events.names]
+        # Both mirror bearings of every event, in event order.  A ray's
+        # reader is the first evidence item of its name: two items may
+        # share a reader, and a reader's rays never cross each other.
+        ray = np.repeat(events.column, 2)
+        reader = np.array([events.names.index(name) for name in events.names], dtype=int)[ray]
+        origin = np.array([tuple(array.centroid) for array in arrays]).reshape(-1, 2)[ray]
+        orientation = np.array([array.orientation for array in arrays])[events.column]
+        bearing = (orientation[:, None] + np.array([1.0, -1.0]) * events.angle[:, None]).ravel()
+        quantized = np.rint(bearing / self._RAY_BEARING_QUANTUM).tolist()
+        first: Dict[Tuple[int, float], int] = {}
+        for index, key in enumerate(zip(reader.tolist(), quantized)):
+            first.setdefault(key, index)
+        fresh = np.zeros(ray.size, dtype=bool)
+        fresh[list(first.values())] = True
+        direction = np.stack([np.cos(bearing), np.sin(bearing)], axis=1)
+        rays = np.flatnonzero(fresh & _inside(self.room, origin + direction * min_range))
+        if rays.size > self._MAX_RAYS:
+            obs.count("grid.rays_capped", rays.size - self._MAX_RAYS)
             rays = rays[: self._MAX_RAYS]
-        intersections: List[Point] = []
-        for i, (name_a, origin_a, dir_a) in enumerate(rays):
-            for name_b, origin_b, dir_b in rays[i + 1 :]:
-                if name_a == name_b:
-                    continue
-                crossing = _ray_crossing(
-                    origin_a, dir_a, origin_b, dir_b, min_range
-                )
-                if crossing is not None and self.room.contains(crossing):
-                    intersections.append(crossing)
-        return intersections
+        a, b = (rays[index] for index in np.triu_indices(rays.size, 1))
+        across = reader[a] != reader[b]
+        a, b = a[across], b[across]
+        denom = _cross(direction[a], direction[b])
+        proper = np.abs(denom) >= 1e-9  # near-parallel rays cross nowhere useful
+        a, b, denom = a[proper], b[proper], denom[proper]
+        delta = origin[b] - origin[a]
+        t = _cross(delta, direction[b]) / denom
+        s = _cross(delta, direction[a]) / denom
+        crossing = origin[a] + direction[a] * t[:, None]
+        # Crossings closer than min_range to either origin are rejected:
+        # near-degenerate geometry, where a small angle error moves the
+        # fix by metres.
+        return crossing[(t >= min_range) & (s >= min_range) & _inside(self.room, crossing)]
 
     def likelihood_at(
         self, position: Point, evidence: Sequence[AngleEvidence]
@@ -467,29 +529,28 @@ class LikelihoodMap:
         Exactly equal to :meth:`evaluate`'s cell when ``position`` is a
         grid node.
         """
-        active = [e for e in evidence if e.has_detection]
-        value = self._likelihood_points(
-            np.array([position.x]), np.array([position.y]), active
-        )
-        return float(value[0])
+        return self.estimate_at(position, evidence).likelihood
 
-    def _likelihood_points(
+    def _scored(
         self, px: np.ndarray, py: np.ndarray, active: Sequence[AngleEvidence]
-    ) -> np.ndarray:
-        """Eq. 15 at arbitrary points: ``np.interp`` on each drop spectrum.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Reader angles and Eq. 15 at arbitrary points.
 
-        The same angle expression, interpolation and factor order as
-        :meth:`evaluate` (whose interpolation table reproduces
-        ``np.interp`` bit for bit), so a grid node scores exactly its
-        cell; like :meth:`evaluate`, no detecting reader means zero.
+        The angles ``theta_i(O)`` of each active reader, shaped
+        ``px.shape + (R,)``, and the likelihood, ``np.interp`` on each
+        drop spectrum.  The same angle expression, interpolation and
+        factor order as :meth:`evaluate` (whose interpolation table
+        reproduces ``np.interp`` bit for bit), so a grid node scores
+        exactly its cell; like :meth:`evaluate`, no detecting reader
+        means zero.
         """
-        if not active:
-            return np.zeros(px.shape)
-        value = np.ones(px.shape)
-        for item in active:
+        angles = np.empty(px.shape + (len(active),))
+        value = np.ones(px.shape) if active else np.zeros(px.shape)
+        for column, item in enumerate(active):
             theta = _angles_to_grid(self._reader_for(item.reader_name), px, py)
+            angles[..., column] = theta
             value *= np.interp(theta, item.drop.angles, item.drop.values) + self.floor
-        return value
+        return angles, value
 
     def _reader_for(self, name: str) -> Reader:
         try:
@@ -498,28 +559,26 @@ class LikelihoodMap:
             raise LocalizationError(f"evidence references unknown reader {name!r}") from exc
 
 
-def _ray_crossing(
-    origin_a: Point,
-    dir_a: Point,
-    origin_b: Point,
-    dir_b: Point,
-    min_range: float,
-) -> Optional[Point]:
-    """Intersection of two forward rays, or ``None``.
+def _detecting(evidence: Sequence[AngleEvidence]) -> List[AngleEvidence]:
+    """The evidence items with at least one blocking event."""
+    return [item for item in evidence if item.has_detection]
 
-    Crossings closer than ``min_range`` to either origin are rejected:
-    they correspond to near-degenerate geometry where a small angle
-    error moves the fix by metres.
-    """
-    denom = dir_a.cross(dir_b)
-    if abs(denom) < 1e-9:
-        return None
-    delta = origin_b - origin_a
-    t = delta.cross(dir_b) / denom
-    s = delta.cross(dir_a) / denom
-    if t < min_range or s < min_range:
-        return None
-    return origin_a + dir_a * t
+
+def ordered_sum(values: np.ndarray) -> np.ndarray:
+    """Row sums of ``values``, added left to right as Python's ``sum``
+    adds, so a sum never depends on how a reduction is split."""
+    return np.cumsum(values, axis=-1)[..., -1]
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise 2-D cross product of ``(N, 2)`` vectors (:meth:`Point.cross`)."""
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+
+def _inside(room: Rectangle, points: np.ndarray) -> np.ndarray:
+    """:meth:`Rectangle.contains` of every row of ``points`` (``(N, 2)``)."""
+    x, y = points[:, 0], points[:, 1]
+    return (room.min_x <= x) & (x <= room.max_x) & (room.min_y <= y) & (y <= room.max_y)
 
 
 def _angles_to_grid(reader: Reader, grid_x: np.ndarray, grid_y: np.ndarray) -> np.ndarray:

@@ -14,11 +14,19 @@ survivors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.core.detector import AngleEvidence, _evidence_from_events
-from repro.core.likelihood import LikelihoodMap, LocationEstimate
+from repro.core.likelihood import (
+    Candidates,
+    Events,
+    LikelihoodMap,
+    LocationEstimate,
+    ordered_sum,
+)
 from repro.errors import LocalizationError
 from repro.utils.angles import deg2rad
 
@@ -77,10 +85,11 @@ class DWatchLocalizer:
                 f"{self.min_readers} needed for triangulation"
             )
         with obs.span("localizer.solve", readers=detecting) as sp:
-            estimate = self._consensus_estimate(current)
+            events = Events.of(current)
+            estimate = self._consensus_estimate(current, events)
             rounds = 0
             for _ in range(OUTLIER_ROUNDS):
-                filtered = self._reject_outliers(current, estimate)
+                filtered = self._reject_outliers(current, events, estimate)
                 rejected = _event_count(current) - _event_count(filtered)
                 if rejected == 0:
                     break
@@ -89,15 +98,17 @@ class DWatchLocalizer:
                 obs.count("localizer.outliers_rejected", rejected)
                 rounds += 1
                 current = filtered
-                estimate = self._consensus_estimate(current)
+                events = Events.of(current)
+                estimate = self._consensus_estimate(current, events)
             obs.count("localizer.outlier_rounds", rounds)
             sp.set(outlier_rounds=rounds)
-            return self._triangulate(current, estimate)
+            return self._triangulate(current, events, estimate)
 
     def _triangulate(
         self,
         evidence: Sequence[AngleEvidence],
-        estimate: LocationEstimate,
+        events: Events,
+        estimate: Candidates,
     ) -> LocationEstimate:
         """Gauss-Newton polish over the consistent bearings; converges
         below grid resolution.
@@ -109,32 +120,30 @@ class DWatchLocalizer:
         from repro.core.triangulate import bearings_from_evidence, triangulate
         from repro.errors import EstimationError
 
+        fallback = estimate.estimates()[0]
         with obs.span("localizer.triangulate"):
             bearings = bearings_from_evidence(
-                evidence,
+                events,
                 self.likelihood_map.readers,
-                estimate,
-                self.consistency_tolerance,
+                events.within(estimate.angles, self.consistency_tolerance)[0],
             )
-            distinct_readers = {
-                id(bearing.array) for bearing in bearings
-            }
+            distinct_readers = {id(bearing.array) for bearing in bearings}
             if len(bearings) < 2 or len(distinct_readers) < 2:
-                return estimate
+                return fallback
             try:
-                refined = triangulate(bearings, estimate.position)
+                refined = triangulate(bearings, fallback.position)
             except EstimationError:
-                return estimate
+                return fallback
             room = self.likelihood_map.room
             if not room.contains(refined.position, margin=-1e-9):
-                return estimate
-            if refined.position.distance_to(estimate.position) > 0.5:
-                return estimate
+                return fallback
+            if refined.position.distance_to(fallback.position) > 0.5:
+                return fallback
             return self.likelihood_map.estimate_at(refined.position, evidence)
 
     def _consensus_estimate(
-        self, evidence: Sequence[AngleEvidence]
-    ) -> LocationEstimate:
+        self, evidence: Sequence[AngleEvidence], events: Events
+    ) -> Candidates:
         """Pick the likelihood mode agreed upon by the most readers.
 
         This is the paper's Section 4.3 argument operationalised: the
@@ -143,7 +152,7 @@ class DWatchLocalizer:
         strongest likelihood modes the one *supported* by the largest
         number of readers — having an event within tolerance of the
         angle under which that reader sees the mode — is the target.
-        Ties break on likelihood.
+        Ties break on likelihood, then on candidate order.
         """
         lmap = self.likelihood_map
         with obs.span("localizer.consensus") as sp:
@@ -156,110 +165,86 @@ class DWatchLocalizer:
             # ghost modes dominate the likelihood surface.
             candidates += lmap.crossing_candidates(evidence, candidates, 0.15)
             sp.set(candidates=len(candidates))
-            best_mode, best_key = None, None
-            for mode in candidates:
-                readers, weight = self._support(mode, evidence)
-                # Readers (consensus breadth) dominate; ties break on the
-                # product of explained event weight and the kernel
-                # likelihood — a ghost may collect slightly heavier events,
-                # but its kernels never align as exactly as the true
-                # intersection's, which the likelihood factor exposes.
-                key = (readers, weight * (0.05 + mode.likelihood))
-                if best_key is None or key > best_key:
-                    best_mode, best_key = mode, key
-            if best_key is None or best_key[0] < self.min_readers:
+            readers, weight = self._support(candidates, events)
+            if not len(candidates) or readers.max() < self.min_readers:
                 raise LocalizationError(
                     "no candidate position is corroborated by "
                     f"{self.min_readers} readers; location not identifiable"
                 )
-            return lmap.refine(surface, evidence, [best_mode.position])[0]
+            # Readers (consensus breadth) dominate; ties break on the
+            # product of explained event weight and the kernel
+            # likelihood — a ghost may collect slightly heavier events,
+            # but its kernels never align as exactly as the true
+            # intersection's, which the likelihood factor exposes.
+            # argmax takes the first of equal keys.
+            key = weight * (0.05 + candidates.likelihood)
+            best = int(np.argmax(np.where(readers == readers.max(), key, -np.inf)))
+            return lmap.refine(surface, evidence, candidates.positions[best : best + 1])
 
     def _support(
-        self, estimate: LocationEstimate, evidence: Sequence[AngleEvidence]
-    ) -> "tuple[int, float]":
-        """Consensus support of an estimate.
+        self, candidates: Candidates, events: Events
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Consensus support of every candidate.
 
-        Returns ``(readers, weight)``: the number of readers with at
-        least one consistent event, and the summed relative drops of
-        every consistent event.  A true target position is corroborated
-        by many individual tag paths (several tags' rays graze the same
-        body), while a wrong-angle ghost typically rests on one event
-        per reader — the event weight separates the tie.
+        Returns ``(readers, weight)``, both ``(K,)``: the number of
+        readers with at least one consistent event, and the summed
+        weights of every consistent event.  A true target position is
+        corroborated by many individual tag paths (several tags' rays
+        graze the same body), while a wrong-angle ghost typically rests
+        on one event per reader — the event weight separates the tie.
+        A reader counts only if one of its consistent events is deep and
+        stable enough (``SUPPORT_MIN_EVENT_*``).
         """
-        readers = 0
-        weight = 0.0
-        for item in evidence:
-            angle = estimate.per_reader_angles.get(item.reader_name)
-            if angle is None or not item.has_detection:
-                continue
-            consistent = [
-                event
-                for event in item.events
-                if abs(event.angle - angle) <= self.consistency_tolerance
-            ]
-            if consistent:
-                if any(
-                    event.relative_drop >= SUPPORT_MIN_EVENT_DROP
-                    and event.confidence >= SUPPORT_MIN_EVENT_CONFIDENCE
-                    for event in consistent
-                ):
-                    readers += 1
-                weight += sum(event.weight for event in consistent)
+        consistent = events.within(candidates.angles, self.consistency_tolerance)
+        strong = consistent & (
+            (events.drop >= SUPPORT_MIN_EVENT_DROP)
+            & (events.confidence >= SUPPORT_MIN_EVENT_CONFIDENCE)
+        )
+        weights = np.where(consistent, events.weight, 0.0)
+        readers = np.zeros(len(candidates), dtype=int)
+        weight = np.zeros(len(candidates))
+        for span in events.spans():
+            readers += strong[:, span].any(axis=1)
+            weight += ordered_sum(weights[:, span])
         return readers, weight
 
     def _reject_outliers(
         self,
         evidence: Sequence[AngleEvidence],
-        estimate: LocationEstimate,
+        events: Events,
+        estimate: Candidates,
     ) -> List[AngleEvidence]:
         """Drop events whose angle disagrees with the estimate.
 
-        A reader keeps its closest-agreeing event; only genuinely
+        A reader keeps its consistent events; only genuinely
         inconsistent extra events (the wrong-angle reflections) are
         removed.  When a reader's *every* event disagrees with the
         estimate, the decision depends on redundancy: with enough other
         agreeing readers the whole reader is dropped (its one detection
-        is a wrong-angle reflection), otherwise its best event is kept
-        because it may be an essential vantage point.
+        is a wrong-angle reflection), otherwise its closest-agreeing
+        event is kept because it may be an essential vantage point.
         """
-        agreeing_readers = 0
-        for item in evidence:
-            seen_angle = estimate.per_reader_angles.get(item.reader_name)
-            if seen_angle is None or not item.has_detection:
-                continue
-            if any(
-                abs(event.angle - seen_angle) <= self.consistency_tolerance
-                for event in item.events
-            ):
-                agreeing_readers += 1
-
+        consistent = events.within(estimate.angles, self.consistency_tolerance)[0]
+        spans = events.spans()
+        agreeing_readers = sum(1 for span in spans if consistent[span].any())
+        detecting = zip(spans, estimate.angles[0])
         result: List[AngleEvidence] = []
         for item in evidence:
             if not item.has_detection:
                 result.append(item)
                 continue
-            seen_angle = estimate.per_reader_angles.get(item.reader_name)
-            if seen_angle is None:
-                result.append(item)
-                continue
-            consistent = [
-                event
-                for event in item.events
-                if abs(event.angle - seen_angle) <= self.consistency_tolerance
-            ]
-            if not consistent:
-                if agreeing_readers >= self.min_readers:
-                    # Redundant coverage: this reader's detections are
-                    # wrong-angle reflections; discard them outright.
-                    result.append(
-                        _evidence_from_events(item.reader_name, [], item.drop.angles)
-                    )
-                    continue
-                best = min(item.events, key=lambda e: abs(e.angle - seen_angle))
-                consistent = [best]
+            span, seen_angle = next(detecting)
+            keep = consistent[span]
+            # With redundant coverage, a reader none of whose events
+            # agrees loses them all: they are wrong-angle reflections.
+            if not keep.any() and agreeing_readers < self.min_readers:
+                closest = np.argmin(np.abs(events.angle[span] - seen_angle))
+                keep = np.arange(keep.size) == closest
             result.append(
                 _evidence_from_events(
-                    item.reader_name, consistent, item.drop.angles
+                    item.reader_name,
+                    [event for event, kept in zip(item.events, keep) if kept],
+                    item.drop.angles,
                 )
             )
         return result

@@ -23,11 +23,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import List, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.core.detector import AngleEvidence
-from repro.core.likelihood import LocationEstimate, Surface
+from repro.core.likelihood import (
+    Candidates,
+    Events,
+    LocationEstimate,
+    Surface,
+    ordered_sum,
+)
 from repro.core.localizer import DWatchLocalizer
 from repro.utils.angles import deg2rad
 
@@ -62,79 +70,82 @@ class MultiTargetLocalizer:
         self, evidence: Sequence[AngleEvidence], max_targets: int = 3
     ) -> List[LocationEstimate]:
         """Locate up to ``max_targets`` targets, strongest first."""
-        active = [item for item in evidence if item.has_detection]
-        if not active:
+        if not any(item.has_detection for item in evidence):
             return []
         lmap = self.localizer.likelihood_map
         with obs.span("multitarget.solve", max_targets=max_targets) as sp:
             surface = lmap.evaluate(evidence)
-            candidates = self._candidate_pool(surface, evidence, max_targets)
+            events = Events.of(evidence)
+            candidates = self._candidate_pool(surface, evidence, events, max_targets)
             sp.set(candidates=len(candidates))
             obs.gauge("multitarget.pool_size", len(candidates))
-            if not candidates:
+            if not len(candidates):
                 return []
-            chosen = self._assign(evidence, candidates, max_targets)
-            results = lmap.refine(surface, evidence, [c.position for c in chosen])
+            chosen = self._assign(events, candidates, max_targets)
+            results = lmap.refine(
+                surface, evidence, candidates.positions[chosen]
+            ).estimates()
             results.sort(key=lambda estimate: estimate.likelihood, reverse=True)
             sp.set(targets=len(results))
             obs.count("multitarget.targets_found", len(results))
             return results
 
     def _assign(
-        self,
-        evidence: Sequence[AngleEvidence],
-        candidates: List[LocationEstimate],
-        max_targets: int,
-    ) -> List[LocationEstimate]:
-        """The maximum-coverage subset search over the candidate pool."""
-        explains = [
-            self._explained_events(candidate, evidence) for candidate in candidates
-        ]
-        event_weights = self._event_weights(evidence)
+        self, events: Events, candidates: Candidates, max_targets: int
+    ) -> np.ndarray:
+        """The maximum-coverage subset search over the candidate pool.
 
-        order = sorted(
-            range(len(candidates)),
-            key=lambda i: sum(event_weights[e] for e in explains[i]),
-            reverse=True,
-        )[:POOL_SIZE]
+        Returns the chosen candidates' indices.  Subsets are scored in
+        ``itertools.combinations`` order, smallest first, and the first
+        strictly best one wins.  Each size is one batch: row ``i`` of
+        ``union`` holds the events subset ``i`` has explained so far,
+        and each slot adds the weight its candidate explains beyond it.
+        """
+        explains = events.within(candidates.angles, self.explain_tolerance)
+        totals = ordered_sum(np.where(explains, events.weight, 0.0))
+        order = np.argsort(-totals, kind="stable")[:POOL_SIZE]
+        explains = explains[order]
+        likelihood = candidates.likelihood[order]
+        x, y = candidates.positions[order].T
+        separated = np.hypot(x[:, None] - x, y[:, None] - y) >= MIN_SEPARATION
 
-        best_subset: Tuple[int, ...] = ()
+        best_subset = np.zeros(0, dtype=int)
         best_score = 0.0
         for size in range(1, max_targets + 1):
-            for subset in itertools.combinations(order, size):
-                if not self._well_separated(subset, candidates):
-                    continue
-                union: set = set()
-                feasible = True
-                score = 0.0
-                for index in subset:
-                    marginal = sum(
-                        event_weights[e]
-                        for e in explains[index]
-                        if e not in union
-                    )
-                    if marginal < MIN_MARGINAL_WEIGHT:
-                        feasible = False
-                        break
-                    union |= explains[index]
-                    # As in single-target consensus, the kernel
-                    # likelihood separates exact intersections from
-                    # ghosts that merely collect heavy events.
-                    score += marginal * (0.05 + candidates[index].likelihood)
-                if not feasible:
-                    continue
-                score -= MIN_MARGINAL_WEIGHT * 0.05 * size
-                if score > best_score:
-                    best_subset, best_score = subset, score
-
-        return [candidates[index] for index in best_subset]
+            subsets = np.array(
+                list(itertools.combinations(range(order.size), size)), dtype=int
+            ).reshape(-1, size)
+            if not len(subsets):
+                break
+            feasible = np.ones(len(subsets), dtype=bool)
+            for a, b in itertools.combinations(range(size), 2):
+                feasible &= separated[subsets[:, a], subsets[:, b]]
+            union = np.zeros((len(subsets), events.angle.size), dtype=bool)
+            score = np.zeros(len(subsets))
+            for slot in subsets.T:
+                marginal = ordered_sum(
+                    np.where(explains[slot] & ~union, events.weight, 0.0)
+                )
+                feasible &= marginal >= MIN_MARGINAL_WEIGHT
+                union |= explains[slot]
+                # As in single-target consensus, the kernel likelihood
+                # separates exact intersections from ghosts that merely
+                # collect heavy events.
+                score += marginal * (0.05 + likelihood[slot])
+            score -= MIN_MARGINAL_WEIGHT * 0.05 * size
+            score[~feasible] = -np.inf
+            first_best = int(np.argmax(score))
+            if score[first_best] > best_score:
+                best_subset, best_score = subsets[first_best], score[first_best]
+        return order[best_subset]
 
     def _candidate_pool(
         self,
         surface: Surface,
         evidence: Sequence[AngleEvidence],
+        events: Events,
         max_targets: int,
-    ) -> List[LocationEstimate]:
+    ) -> Candidates:
         """Likelihood modes plus every cross-reader ray intersection,
         screened by the single-target consensus rule."""
         lmap = self.localizer.likelihood_map
@@ -142,49 +153,5 @@ class MultiTargetLocalizer:
             surface, evidence, max_modes=4 * max_targets, min_separation=0.25
         )
         pool += lmap.crossing_candidates(evidence, pool, 0.1)
-        screened = []
-        for candidate in pool:
-            readers, _ = self.localizer._support(candidate, evidence)
-            if readers >= self.localizer.min_readers:
-                screened.append(candidate)
-        return screened
-
-    def _event_weights(
-        self, evidence: Sequence[AngleEvidence]
-    ) -> Dict[Tuple[str, int], float]:
-        """Weight of every event, keyed by (reader, event index)."""
-        return {
-            (item.reader_name, index): event.weight
-            for item in evidence
-            for index, event in enumerate(item.events)
-        }
-
-    def _explained_events(
-        self,
-        candidate: LocationEstimate,
-        evidence: Sequence[AngleEvidence],
-    ) -> FrozenSet[Tuple[str, int]]:
-        """Event ids within the explain tolerance of the candidate."""
-        explained = set()
-        for item in evidence:
-            angle = candidate.per_reader_angles.get(item.reader_name)
-            if angle is None:
-                continue
-            for index, event in enumerate(item.events):
-                if abs(event.angle - angle) <= self.explain_tolerance:
-                    explained.add((item.reader_name, index))
-        return frozenset(explained)
-
-    def _well_separated(
-        self,
-        subset: Sequence[int],
-        candidates: List[LocationEstimate],
-    ) -> bool:
-        for i, a in enumerate(subset):
-            for b in subset[i + 1 :]:
-                distance = candidates[a].position.distance_to(
-                    candidates[b].position
-                )
-                if distance < MIN_SEPARATION:
-                    return False
-        return True
+        readers, _ = self.localizer._support(pool, events)
+        return pool[readers >= self.localizer.min_readers]

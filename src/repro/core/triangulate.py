@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.likelihood import Events
 from repro.errors import EstimationError
 from repro.geometry.point import Point
 from repro.rf.array import UniformLinearArray
+from repro.rfid.reader import Reader
 from repro.utils.angles import wrap_to_pi
 
 
@@ -38,10 +40,6 @@ class TriangulationResult:
     position: Point
     rms_residual_rad: float
     iterations: int
-
-
-def _observed_angle(array: UniformLinearArray, position: Point) -> float:
-    return array.angle_to(position)
 
 
 def _jacobian_row(
@@ -97,7 +95,7 @@ def triangulate(
         residuals = []
         weights = []
         for bearing in bearings:
-            predicted = _observed_angle(bearing.array, position)
+            predicted = bearing.array.angle_to(position)
             residual = bearing.angle - predicted
             rows.append(_jacobian_row(bearing.array, position))
             residuals.append(residual)
@@ -116,7 +114,7 @@ def triangulate(
             break
     final_residuals = np.asarray(
         [
-            bearing.angle - _observed_angle(bearing.array, position)
+            bearing.angle - bearing.array.angle_to(position)
             for bearing in bearings
         ]
     )
@@ -127,32 +125,22 @@ def triangulate(
 
 
 def bearings_from_evidence(
-    evidence,
-    readers,
-    estimate,
-    tolerance: float,
+    events: Events,
+    readers: Mapping[str, Reader],
+    consistent: np.ndarray,
 ) -> List[Bearing]:
-    """Bearings for the events consistent with ``estimate``.
+    """Bearings for the events consistent with an estimate.
 
-    One bearing per consistent event, weighted by the event's
-    stability-weighted drop; a reader's wrong-angle events are excluded
-    by the same tolerance the consensus scorer uses.
+    ``consistent`` is the estimate's row of :meth:`Events.within`, so a
+    reader's wrong-angle events are excluded by the same rule the
+    consensus scorer uses.  One bearing per consistent event, weighted
+    by the event's stability-weighted drop.
     """
-    bearings: List[Bearing] = []
-    for item in evidence:
-        reader = readers.get(item.reader_name)
-        if reader is None or not item.has_detection:
-            continue
-        seen = estimate.per_reader_angles.get(item.reader_name)
-        if seen is None:
-            continue
-        bearings.extend(
-            Bearing(
-                array=reader.array,
-                angle=event.angle,
-                weight=event.weight,
-            )
-            for event in item.events
-            if abs(event.angle - seen) <= tolerance
+    return [
+        Bearing(array=readers[events.names[column]].array, angle=angle, weight=weight)
+        for column, angle, weight in zip(
+            events.column[consistent].tolist(),
+            events.angle[consistent].tolist(),
+            events.weight[consistent].tolist(),
         )
-    return bearings
+    ]

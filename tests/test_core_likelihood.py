@@ -37,6 +37,11 @@ def readers():
     return {"south": south, "west": west}
 
 
+def distance(row, point):
+    """Distance from an ``(x, y)`` array row to a point."""
+    return Point(*row.tolist()).distance_to(point)
+
+
 def evidence_for_target(readers, target, drop=1.0):
     items = []
     grid = default_angle_grid()
@@ -99,7 +104,7 @@ class TestBestEstimate:
         lmap = LikelihoodMap(room=ROOM, readers=readers, cell_size=cell)
         evidence = evidence_for_target(readers, target)
         best = lmap.best_estimate(evidence)
-        mode = lmap.top_modes(evidence)[0]
+        mode = lmap.peel_modes(lmap.evaluate(evidence), evidence).estimates()[0]
         assert best.position.distance_to(target) < 0.4 * cell
         assert mode.position.distance_to(target) < 0.4 * cell
 
@@ -127,7 +132,9 @@ class TestTopModes:
                 item_a.drop.angles,
             )
             combined.append(merged)
-        modes = lmap.top_modes(combined, max_modes=6, min_separation=0.5)
+        modes = lmap.peel_modes(
+            lmap.evaluate(combined), combined, max_modes=6, min_separation=0.5
+        ).estimates()
         hits = 0
         for target in (target_a, target_b):
             if any(m.position.distance_to(target) < 0.4 for m in modes):
@@ -137,9 +144,10 @@ class TestTopModes:
     def test_mode_count_bounded(self, readers):
         lmap = LikelihoodMap(room=ROOM, readers=readers)
         target = Point(3.0, 3.0)
-        modes = lmap.top_modes(
-            evidence_for_target(readers, target), max_modes=3
-        )
+        evidence = evidence_for_target(readers, target)
+        modes = lmap.peel_modes(
+            lmap.evaluate(evidence), evidence, max_modes=3
+        ).estimates()
         assert len(modes) <= 3
 
 
@@ -148,12 +156,12 @@ class TestRayIntersections:
         target = Point(2.4, 3.6)
         lmap = LikelihoodMap(room=ROOM, readers=readers)
         crossings = lmap.ray_intersections(evidence_for_target(readers, target))
-        assert any(c.distance_to(target) < 0.15 for c in crossings)
+        assert any(distance(c, target) < 0.15 for c in crossings)
 
     def test_no_intersections_without_detection(self, readers):
         lmap = LikelihoodMap(room=ROOM, readers=readers)
         empty = [_evidence_from_events("south", [], default_angle_grid())]
-        assert lmap.ray_intersections(empty) == []
+        assert lmap.ray_intersections(empty).shape == (0, 2)
 
     def test_duplicate_events_do_not_change_candidates(self, readers):
         # The ray dedupe keys on (reader, quantized bearing): repeating
@@ -171,7 +179,7 @@ class TestRayIntersections:
         want = lmap.ray_intersections(unique)
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert a.distance_to(b) == 0.0
+            assert distance(a, Point(*b.tolist())) == 0.0
 
     def test_ray_cap_keeps_true_target_candidate(self, readers):
         # Flood one reader with distinct ghost angles so the ray list
@@ -205,7 +213,92 @@ class TestRayIntersections:
         ]
         items.append(_evidence_from_events("south", ghosts, grid))
         crossings = lmap.ray_intersections(items)
-        assert any(c.distance_to(target) < 0.15 for c in crossings)
+        assert any(distance(c, target) < 0.15 for c in crossings)
+
+
+    def test_crossing_dedupe_is_greedy(self, readers):
+        # One west ray (y = 3) crossed by four south rays, in event
+        # order at x = 2.0, 2.05, 4.5 and 1.0.  The third crossing lies
+        # within the radius of a mode and the second within the radius
+        # of the first, the earlier kept crossing: only the first and
+        # the fourth become candidates.
+        lmap = LikelihoodMap(room=ROOM, readers=readers)
+        grid = default_angle_grid()
+
+        def event(name, target):
+            return BlockedPath(
+                reader_name=name,
+                epc="E" * 24,
+                angle=readers[name].array.angle_to(target),
+                relative_drop=1.0,
+                baseline_power=1.0,
+                online_power=0.0,
+            )
+
+        south = [event("south", Point(x, 3.0)) for x in (2.0, 2.05, 4.5, 1.0)]
+        items = [
+            _evidence_from_events("south", south, grid),
+            _evidence_from_events("west", [event("west", Point(2.0, 3.0))], grid),
+        ]
+        crossings = lmap.ray_intersections(items)
+        assert len(crossings) == 4
+        mode = lmap.score(np.array([[4.55, 3.0]]), items)
+        kept = lmap.crossing_candidates(items, mode, 0.15)
+        assert kept.positions.tolist() == [crossings[0].tolist(), crossings[3].tolist()]
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_loop(self, readers, seed):
+        # The vectorized crossing against the scalar reference, on
+        # random events with repeated angles and, for the larger seeds,
+        # more rays than _MAX_RAYS.
+        rng = np.random.default_rng(seed)
+        lmap = LikelihoodMap(room=ROOM, readers=readers)
+        grid = default_angle_grid()
+        items = []
+        for name in readers:
+            angles = rng.uniform(0.05, math.pi - 0.05, size=4 + 12 * seed)
+            angles[::3] = angles[0]
+            events = [
+                BlockedPath(name, "E" * 24, float(a), 1.0, 1.0, 0.0) for a in angles
+            ]
+            items.append(_evidence_from_events(name, events, grid))
+        got = lmap.ray_intersections(items)
+        want = pairwise_loop_crossings(lmap, items)
+        assert len(want) > 0
+        assert got.shape == (len(want), 2)
+        # NumPy's cos and sin may differ from math's in the last bit.
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def pairwise_loop_crossings(lmap, evidence, min_range=0.3):
+    """Ray crossings one pair at a time in Point arithmetic: the reference."""
+    rays, seen = [], set()
+    for item in evidence:
+        array = lmap.readers[item.reader_name].array
+        for event in item.events:
+            for sign in (1.0, -1.0):
+                bearing = array.orientation + sign * event.angle
+                key = (item.reader_name, round(bearing / lmap._RAY_BEARING_QUANTUM))
+                if key in seen:
+                    continue
+                seen.add(key)
+                direction = Point(math.cos(bearing), math.sin(bearing))
+                if lmap.room.contains(array.centroid + direction * min_range):
+                    rays.append((item.reader_name, array.centroid, direction))
+    rays = rays[: lmap._MAX_RAYS]
+    crossings = []
+    for i, (name_a, origin_a, dir_a) in enumerate(rays):
+        for name_b, origin_b, dir_b in rays[i + 1 :]:
+            denom = dir_a.cross(dir_b)
+            if name_a == name_b or abs(denom) < 1e-9:
+                continue
+            delta = origin_b - origin_a
+            t, s = delta.cross(dir_b) / denom, delta.cross(dir_a) / denom
+            crossing = origin_a + dir_a * t
+            if t >= min_range and s >= min_range and lmap.room.contains(crossing):
+                crossings.append((crossing.x, crossing.y))
+    return crossings
 
 
 class TestLikelihoodAt:

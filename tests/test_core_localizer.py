@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.detector import BlockedPath, _evidence_from_events
-from repro.core.likelihood import LikelihoodMap
+from repro.core.likelihood import Events, LikelihoodMap
 from repro.core.localizer import DWatchLocalizer
 from repro.dsp.spectrum import default_angle_grid
 from repro.errors import LocalizationError
@@ -122,14 +123,14 @@ class TestSupportScoring:
     def test_support_counts_consistent_readers(self, readers, localizer):
         target = Point(2.0, 3.0)
         evidence = evidence_for_target(readers, target)
-        estimate = localizer.likelihood_map.estimate_at(target, evidence)
-        support_readers, weight = localizer._support(estimate, evidence)
+        estimate = localizer.likelihood_map.score(np.array([[2.0, 3.0]]), evidence)
+        [support_readers], [weight] = localizer._support(estimate, Events.of(evidence))
         assert support_readers == 3
         assert weight > 2.0
 
     def test_support_zero_far_away(self, readers, localizer):
         target = Point(2.0, 3.0)
         evidence = evidence_for_target(readers, target)
-        decoy = localizer.likelihood_map.estimate_at(Point(5.5, 0.5), evidence)
-        support_readers, _ = localizer._support(decoy, evidence)
+        decoy = localizer.likelihood_map.score(np.array([[5.5, 0.5]]), evidence)
+        [support_readers], _ = localizer._support(decoy, Events.of(evidence))
         assert support_readers < 2

@@ -101,7 +101,9 @@ class TestLocalizerRefinement:
         error_refined = localizer.localize(evidence).position.distance_to(target)
         # The coarse fix: the consensus pick without the polish.
         monkeypatch.setattr(
-            DWatchLocalizer, "_triangulate", lambda self, ev, estimate: estimate
+            DWatchLocalizer,
+            "_triangulate",
+            lambda self, ev, events, estimate: estimate.estimates()[0],
         )
         error_coarse = localizer.localize(evidence).position.distance_to(target)
         assert error_refined <= error_coarse + 1e-9

@@ -23,7 +23,8 @@
 #   8. bench      — `python -m bench run --smoke` runs every workload of
 #                   the repo benchmark and writes its record to
 #                   .check/bench/; fails when a repeat or traced phase
-#                   disagrees or a fix leaks across deployments
+#                   disagrees, a fix leaks across deployments, or the
+#                   result line counts any failed output
 #   9. obs overhead — scripts/obs_overhead.py --smoke writes
 #                   .check/BENCH_obs.json
 #  10. soak       — scripts/soak.py --smoke (bounded RSS/cardinality/queues)
@@ -137,9 +138,23 @@ OPS_SMOKE
 
 echo "== bench smoke (repo benchmark, every workload; record in .check/bench/) =="
 # Smoke inputs check the harness and the fix path end to end, not speed:
-# the exit status is non-zero when any output is wrong.  Speed is judged
-# by full runs and `python -m bench compare` (bench/README.md).
-timeout 600 python -m bench run --smoke --out .check/bench
+# the step fails when any output is wrong.  The benchmark's own exit
+# status covers "correct"; the result line's "failed" (missing,
+# different or late outputs, e.g. a served fix that differs from its
+# in-process reference) must be 0 too.  Speed is judged by full runs
+# and `python -m bench compare` (bench/README.md).
+mkdir -p .check/bench
+timeout 600 python -m bench run --smoke --out .check/bench | tee .check/bench/smoke.out
+python - <<'BENCH_FAILED'
+import json
+
+result = json.loads(open(".check/bench/smoke.out").read().strip().splitlines()[-1])
+assert result["correct"] is True, result
+assert result["failed"] == 0, (
+    f"bench smoke: {result['failed']} of {result['attempted']} outputs failed"
+)
+print(f"bench smoke ok: {result['attempted']} outputs, 0 failed")
+BENCH_FAILED
 
 echo "== obs overhead smoke (writes .check/BENCH_obs.json) =="
 PYTHONPATH=src python scripts/obs_overhead.py --smoke --output .check/BENCH_obs.json

@@ -75,15 +75,6 @@ class AngleEvidence:
         """Whether this reader saw at least one blocked path."""
         return bool(self.events)
 
-    def without_events_near(self, angle: float, tolerance: float) -> "AngleEvidence":
-        """Evidence with events within ``tolerance`` of ``angle`` removed.
-
-        Used by the multi-target splitter: once a target explains some
-        events, the remaining evidence should re-localize without them.
-        """
-        kept = [e for e in self.events if abs(e.angle - angle) > tolerance]
-        return _evidence_from_events(self.reader_name, kept, self.drop.angles)
-
 
 @dataclass(frozen=True)
 class _ScreenedPeak:

@@ -14,10 +14,12 @@ forward-backward averaging), :func:`batched_eigendecompose` and
 eigenvalues also count the sources), :func:`batched_music_spectra`
 (one masked projection per source count), :func:`batched_bartlett_spectra`
 (``a^H R a / M^2`` from the unsmoothed ``R``) and :func:`nor_divisors`
-(the per-lobe ``Nor(·)`` as one ``(N, G)`` division; peak detection
-stays per item).  :func:`batched_music_from_covariances` chains the
-MUSIC stages and :func:`batched_pmusic_from_covariances` adds Bartlett
-and ``Nor(·)``.
+(the per-lobe ``Nor(·)`` as one ``(N, G)`` division, with peak
+detection and lobe segmentation in array form).
+:func:`batched_music_from_covariances` chains the MUSIC stages and
+:func:`batched_pmusic_from_covariances` adds Bartlett and ``Nor(·)``;
+it flags an item with no noise subspace or no peak instead of raising,
+so one bad pair never costs the rest of its stack.
 
 Every caller goes through these: the streaming runner passes its
 incrementally maintained covariances directly; snapshot callers
@@ -30,8 +32,8 @@ the sample covariance first and make one-item calls.
 ``tests/test_property_batch.py`` checks MUSIC and P-MUSIC against the
 textbook oracles in ``tests/pmusic_oracle.py`` (snapshot-domain
 smoothing, per-item loops) to a tolerance scaled to each spectrum's
-peak, and checks that a stack equals the same items run one by one
-exactly.
+peak, and checks that a stack equals the same items run one by one,
+in any order, exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from repro import obs
 from repro.constants import MAX_DOMINANT_PATHS
-from repro.dsp.peaks import candidate_peak_indices, region_starts_from_indices
+from repro.dsp.peaks import batched_candidate_peaks, batched_region_starts
 from repro.dsp.spectrum import (
     AngularSpectrum,
     default_angle_grid,
@@ -51,7 +53,7 @@ from repro.dsp.spectrum import (
 )
 from repro.errors import EstimationError
 from repro.rf.array import cached_steering_matrix
-from repro.utils.arrays import ArrayLike, ComplexArray, FloatArray, IntArray
+from repro.utils.arrays import ArrayLike, BoolArray, ComplexArray, FloatArray, IntArray
 
 
 @dataclass(frozen=True)
@@ -283,73 +285,57 @@ def nor_divisors(
     angle_grid: FloatArray,
     min_relative_height: float,
     min_separation: float,
-) -> FloatArray:
-    """The ``(N, G)`` per-lobe divisor stack behind ``Nor(·)``.
+) -> Tuple[FloatArray, BoolArray]:
+    """The ``(N, G)`` per-lobe divisor stack behind ``Nor(·)``, and which rows have one.
 
     The paper's ``Nor(·)`` scales every spectral lobe to unit height:
     the angle axis is split into one region per detected peak (at the
     minima between adjacent peaks), and each grid point's divisor is
-    its region's maximum (1.0 where that maximum is non-positive).
-    Raises on the first item, in item order, with no detectable peaks.
+    its region's maximum (1.0 where that maximum is non-positive).  A
+    row with no detectable peak cannot be normalized: its entry of the
+    returned ``(N,)`` mask is ``False`` and its divisors are
+    meaningless.  Every step is an array operation over the whole stack
+    (see :mod:`repro.dsp.peaks`), so each row's divisors depend on that
+    row alone.
     """
-    divisors = np.empty_like(music_values)
+    n, size = music_values.shape
     grid_step = float(np.mean(np.diff(angle_grid)))
     distance = max(1, int(round(min_separation / grid_step)))
-    size = music_values.shape[1]
-    # One vectorized pass for the per-row peak heights.
-    peak_values = music_values.max(axis=1)
-    total_peaks = 0
-    for i in range(music_values.shape[0]):
-        row = music_values[i]
-        peak_value = peak_values[i]
-        indices = (
-            candidate_peak_indices(
-                row, min_relative_height * peak_value, distance
-            )
-            if peak_value > 0.0
-            else []
-        )
-        starts = region_starts_from_indices(row, indices)
-        if starts is None:
-            raise EstimationError("cannot normalize a spectrum with no peaks")
-        total_peaks += len(indices)
-        # Per-region maxima; a non-positive lobe maximum divides by 1.0.
-        region_max = np.maximum.reduceat(row, starts)
-        if region_max.size == 1:
-            divisors[i] = region_max[0] if region_max[0] > 0.0 else 1.0
-            continue
-        lengths = np.diff(np.append(starts, size))
-        divisors[i] = np.repeat(
-            np.where(region_max > 0.0, region_max, 1.0), lengths
-        )
+    heights = min_relative_height * music_values.max(axis=1)
+    rows, cols = batched_candidate_peaks(music_values, heights, distance)
+    valid = np.bincount(rows, minlength=n) > 0
+    starts = batched_region_starts(music_values, rows, cols)
+    # Per-region maxima; a non-positive lobe maximum divides by 1.0.
+    region_max = np.maximum.reduceat(music_values.ravel(), starts)
+    lengths = np.diff(np.append(starts, n * size))
+    divisors = np.repeat(np.where(region_max > 0.0, region_max, 1.0), lengths)
     # One aggregated count event for the whole stack.
-    obs.count("pmusic.peaks_found", total_peaks)
-    return divisors
+    obs.count("pmusic.peaks_found", len(rows))
+    return divisors.reshape(n, size), valid
 
 
 def batched_pmusic_spectra(
     snapshots: ArrayLike,
     config: BatchPMusicConfig,
 ) -> List[AngularSpectrum]:
-    """All N P-MUSIC spectra ``Omega_i(theta)`` from an ``(N, M, S)`` snapshot stack."""
-    covariances = batched_sample_covariance(snapshots)
-    return batched_pmusic_from_covariances(covariances, config)
+    """All N P-MUSIC spectra ``Omega_i(theta)`` from an ``(N, M, S)`` snapshot stack.
 
-
-def batched_music_from_covariances(
-    covariances: ArrayLike,
-    config: BatchPMusicConfig,
-) -> FloatArray:
-    """All N MUSIC pseudo-spectra from an ``(N, M, M)`` covariance stack (Eq. 8).
-
-    Spatial smoothing from the full ``R`` (none when the subarray spans
-    the array), one ``eigh`` whose eigenvalues count the sources unless
-    ``config.num_sources`` pins them, and the noise projection.  Returns
-    the ``(N, G)`` values on ``config.grid()``.  Raises
-    :class:`~repro.errors.EstimationError` when any item has no noise
-    subspace.
+    Raises :class:`~repro.errors.EstimationError` when any item has no
+    noise subspace or no detectable peak.
     """
-    r = _as_covariance_stack(covariances)
+    covariances = batched_sample_covariance(snapshots)
+    return strict_spectra(batched_pmusic_from_covariances(covariances, config))
+
+
+def _music_stage(
+    r: ComplexArray, config: BatchPMusicConfig
+) -> Tuple[FloatArray, BoolArray]:
+    """MUSIC values of a validated stack, and which items have a noise subspace.
+
+    An item whose largest smoothed eigenvalue is not positive (a zero
+    covariance) counts no sources and has no noise subspace; its row is
+    computed as if it had one source and flagged ``False``.
+    """
     n, m = r.shape[0], r.shape[1]
     with obs.span("batch.covariance"):
         sub_len = config.resolve_subarray(m)
@@ -369,42 +355,75 @@ def batched_music_from_covariances(
                 eigenvalues, config.source_threshold_ratio, length - 1
             )
         obs.count("music.sources_detected", int(p.sum()))
+    valid = p > 0
     with obs.span("batch.spectrum"):
-        return batched_music_spectra(
-            eigenvectors, p, config.spacing_m, config.wavelength_m, config.grid()
+        values = batched_music_spectra(
+            eigenvectors,
+            np.where(valid, p, 1),
+            config.spacing_m,
+            config.wavelength_m,
+            config.grid(),
         )
+    return values, valid
+
+
+def batched_music_from_covariances(
+    covariances: ArrayLike,
+    config: BatchPMusicConfig,
+) -> FloatArray:
+    """All N MUSIC pseudo-spectra from an ``(N, M, M)`` covariance stack (Eq. 8).
+
+    Spatial smoothing from the full ``R`` (none when the subarray spans
+    the array), one ``eigh`` whose eigenvalues count the sources unless
+    ``config.num_sources`` pins them, and the noise projection.  Returns
+    the ``(N, G)`` values on ``config.grid()``.  Raises
+    :class:`~repro.errors.EstimationError` when any item has no noise
+    subspace.
+    """
+    values, valid = _music_stage(_as_covariance_stack(covariances), config)
+    if not valid.all():
+        raise EstimationError(
+            "num_sources must be positive to leave a noise subspace (got 0)"
+        )
+    return values
 
 
 def batched_pmusic_from_covariances(
     covariances: ArrayLike,
     config: BatchPMusicConfig,
-) -> List[AngularSpectrum]:
+) -> List[Optional[AngularSpectrum]]:
     """All N P-MUSIC spectra ``Omega_i(theta)`` from an ``(N, M, M)`` stack (Eq. 14).
 
-    :func:`batched_music_from_covariances`, ``Nor(·)``, times Bartlett
-    power from the *unsmoothed* covariances.  Raises
-    :class:`~repro.errors.EstimationError` when any item has no noise
-    subspace or no detectable peak.
+    MUSIC, ``Nor(·)``, times Bartlett power from the *unsmoothed*
+    covariances.  An item with no noise subspace or no detectable peak
+    has no spectrum: its entry is ``None``, and the other items are
+    unaffected.  A malformed stack (not ``(N, M, M)``, non-finite
+    values) raises :class:`~repro.errors.EstimationError`.
+
+    Each item's spectrum is a function of that item alone: the same
+    bits alone, in any stack, in any order and from any memory layout
+    (``tests/test_property_batch.py`` checks it).
     """
-    r = _as_covariance_stack(covariances)
+    r = np.ascontiguousarray(_as_covariance_stack(covariances))
     n, m = r.shape[0], r.shape[1]
     if n == 0:
         return []
     grid = config.grid()
     with obs.span("batch.pmusic", batch=n, size=m):
-        music_values = batched_music_from_covariances(r, config)
+        music_values, valid = _music_stage(r, config)
         with obs.span("batch.bartlett"):
             power = batched_bartlett_spectra(
                 r, config.spacing_m, config.wavelength_m, grid
             )
         with obs.span("batch.normalize"):
-            divisors = nor_divisors(
+            divisors, normalizable = nor_divisors(
                 music_values,
                 grid,
                 config.peak_min_relative_height,
                 config.peak_min_separation,
             )
             omega = power * (music_values / divisors)
+    valid &= normalizable
     # The shared scan grid is already validated (strictly increasing
     # float64), so the per-item constructor can skip re-validation —
     # at hall-scene batch sizes that check is a measurable slice of
@@ -417,4 +436,17 @@ def batched_pmusic_from_covariances(
     if grid.flags.writeable:
         grid = grid.copy()
         grid.setflags(write=False)
-    return [spectrum_from_validated(grid, omega[i]) for i in range(n)]
+    return [
+        spectrum_from_validated(grid, omega[i]) if valid[i] else None
+        for i in range(n)
+    ]
+
+
+def strict_spectra(spectra: List[Optional[AngularSpectrum]]) -> List[AngularSpectrum]:
+    """``spectra`` with every item present; raises if any item has none."""
+    present = [spectrum for spectrum in spectra if spectrum is not None]
+    if len(present) != len(spectra):
+        raise EstimationError(
+            "cannot compute a P-MUSIC spectrum: no noise subspace or no peaks"
+        )
+    return present

@@ -1,86 +1,110 @@
-"""Peak detection and peak-region segmentation for angular spectra."""
+"""Peak detection and peak-region segmentation for angular spectra.
+
+Both work on stacks of spectra at once (:func:`batched_candidate_peaks`,
+:func:`batched_region_starts`); the one-spectrum helpers are one-row
+calls.  Peak detection gives exactly what :func:`scipy.signal.find_peaks`
+gives: a row with no two adjacent equal values (so no plateau) whose
+candidates are all at least ``distance`` apart needs neither scipy's
+plateau handling nor its distance filter, and is resolved in array form;
+every other row goes through scipy itself.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.signal import find_peaks as _scipy_find_peaks
 
 from repro.dsp.spectrum import AngularSpectrum, SpectrumPeak
 from repro.errors import EstimationError
-
-try:  # pragma: no cover - exercised through _verified_fast_peaks below
-    from scipy.signal._peak_finding_utils import (
-        _local_maxima_1d,
-        _select_by_peak_distance,
-    )
-except ImportError:  # pragma: no cover - older/newer scipy layout
-    _local_maxima_1d = None
-    _select_by_peak_distance = None
+from repro.utils.arrays import FloatArray, IntArray
 
 
-def _fast_peak_indices(
-    values: np.ndarray, height: float, distance: int
-) -> np.ndarray:
-    """``find_peaks(values, height=..., distance=...)`` without the wrapper.
+def batched_candidate_peaks(
+    values: FloatArray, heights: FloatArray, distance: int
+) -> Tuple[IntArray, IntArray]:
+    """Every row's peaks: scipy's interior maxima plus the boundaries.
 
-    Replays the exact condition sequence of :func:`scipy.signal.find_peaks`
-    for the two conditions this module uses — local maxima, then the
-    height filter (``peak_heights >= height``), then the distance
-    filter — by calling the same compiled kernels the wrapper calls.
-    The wrapper's argument unpacking/property bookkeeping costs more
-    than the kernels themselves at our 361-point grids.
+    ``values`` is ``(N, G)``; row ``i`` keeps peaks at least
+    ``heights[i]`` high, interior ones at least ``distance`` samples
+    apart (scipy's rule: the higher wins).  A grid endpoint is a peak
+    when it exceeds its neighbour and clears the height; scipy never
+    reports an endpoint, so the two sets never overlap.  A row whose
+    maximum is not positive has no peaks.  Returns ``(rows, indices)``
+    in ascending row-major order.
     """
-    peaks, _, _ = _local_maxima_1d(values)
-    peaks = peaks[values[peaks] >= height]
-    keep = _select_by_peak_distance(peaks, values[peaks], float(distance))
-    result: np.ndarray = peaks[keep]
-    return result
-
-
-def _verified_fast_peaks() -> bool:
-    """Whether the private-kernel path matches ``find_peaks`` bit for bit.
-
-    Checked once at import over vectors with plateaus, ties and edge
-    runs; any mismatch (or a scipy that moved the private kernels)
-    falls back to the public wrapper for every call.
-    """
-    if _local_maxima_1d is None or _select_by_peak_distance is None:
-        return False
-    probe = np.array(
-        [0.0, 1.0, 0.5, 1.0, 1.0, 0.2, 3.0, 0.1, 0.3, 0.3, 0.1, 2.0, 2.5, 2.5]
+    n, size = values.shape
+    inner = values[:, 1:-1]
+    interior = (
+        (inner > values[:, :-2])
+        & (inner > values[:, 2:])
+        & (inner >= heights[:, None])
     )
-    try:
-        for distance in (1, 2, 6):
-            for height in (0.0, 0.2, 0.5, 1.0):
-                reference, _ = _scipy_find_peaks(
-                    probe, height=height, distance=distance
-                )
-                if not np.array_equal(
-                    reference, _fast_peak_indices(probe, height, distance)
-                ):
-                    return False
-    except (TypeError, ValueError):  # signature drift in the private API
-        return False
-    return True
+    rows, cols = np.nonzero(interior)
+    cols = cols + 1
+    slow = np.any(values[:, 1:] == values[:, :-1], axis=1)
+    close = (rows[1:] == rows[:-1]) & (np.diff(cols) < distance)
+    slow[rows[1:][close]] = True
+    has_peak = values.max(axis=1) > 0.0
+    slow &= has_peak
+    keep = has_peak[rows] & ~slow[rows]
+    found_rows, found_cols = [rows[keep]], [cols[keep]]
+    for i in np.flatnonzero(slow):
+        indices, _ = _scipy_find_peaks(values[i], height=heights[i], distance=distance)
+        found_rows.append(np.full(len(indices), i, dtype=np.intp))
+        found_cols.append(indices.astype(np.intp))
+    first = has_peak & (values[:, 0] > values[:, 1]) & (values[:, 0] >= heights)
+    last = (
+        has_peak
+        & (values[:, -1] > values[:, -2])
+        & (values[:, -1] >= heights)
+    )
+    found_rows += [np.flatnonzero(first), np.flatnonzero(last)]
+    found_cols += [
+        np.zeros(int(first.sum()), dtype=np.intp),
+        np.full(int(last.sum()), size - 1, dtype=np.intp),
+    ]
+    flat = np.sort(
+        np.concatenate(found_rows) * size + np.concatenate(found_cols)
+    )
+    return flat // size, flat % size
 
 
-_USE_FAST_PEAKS = _verified_fast_peaks()
+def batched_region_starts(
+    values: FloatArray, rows: IntArray, indices: IntArray
+) -> IntArray:
+    """Flat offsets of every peak region, for ``np.maximum.reduceat``.
 
-
-def _find_peak_indices(
-    values: np.ndarray, height: float, distance: int
-) -> np.ndarray:
-    """Interior peak indices, via the verified fast path when possible."""
-    if (
-        _USE_FAST_PEAKS
-        and values.dtype == np.float64
-        and values.flags.c_contiguous
-    ):
-        return _fast_peak_indices(values, height, distance)
-    indices, _ = _scipy_find_peaks(values, height=height, distance=distance)
-    return indices
+    ``rows``/``indices`` are ascending row-major peaks (as
+    :func:`batched_candidate_peaks` returns them).  Each row is split
+    into one region per peak at the minima between adjacent peaks (the
+    first minimum on ties), so each grid point belongs to the lobe of
+    its peak.  A row's first region starts at the row's first sample;
+    a row without peaks is one region.  The offsets index
+    ``values.ravel()``.
+    """
+    n, size = values.shape
+    flat = values.ravel()
+    keys = rows * size + indices
+    # Adjacent peaks of one row: the region boundary is the argmin of
+    # values[left:right].  The peak at ``right`` is never that minimum
+    # (it exceeds its left neighbour), so the half-open span suffices,
+    # and consecutive spans of a row tile it without overlap.
+    pair = np.flatnonzero(rows[1:] == rows[:-1])
+    lo, hi = keys[pair], keys[pair + 1]
+    lengths = hi - lo
+    total = int(lengths.sum())
+    splits = np.empty(0, dtype=np.intp)
+    if total:
+        offsets = np.cumsum(lengths) - lengths
+        positions = np.arange(total) + np.repeat(lo - offsets, lengths)
+        segment_min = np.minimum.reduceat(flat[positions], offsets)
+        hit = np.flatnonzero(flat[positions] == np.repeat(segment_min, lengths))
+        segment = np.repeat(np.arange(len(lo)), lengths)[hit]
+        _, first = np.unique(segment, return_index=True)
+        splits = positions[hit[first]]
+    return np.sort(np.concatenate([np.arange(n) * size, splits]))
 
 
 def find_spectrum_peaks(
@@ -110,62 +134,33 @@ def find_spectrum_peaks(
         return []
     grid_step = float(np.mean(np.diff(spectrum.angles)))
     distance = max(1, int(round(min_separation / grid_step)))
+    _, indices = batched_candidate_peaks(
+        np.asarray(values, dtype=np.float64)[None, :],
+        np.array([min_relative_height * peak_value]),
+        distance,
+    )
     peaks = [
         SpectrumPeak(
             angle=float(spectrum.angles[i]), value=float(values[i]), index=int(i)
         )
-        for i in candidate_peak_indices(
-            values, min_relative_height * peak_value, distance
-        )
+        for i in indices.tolist()
     ]
     return sorted(peaks, key=lambda p: p.value, reverse=True)
-
-
-def candidate_peak_indices(
-    values: np.ndarray, height: float, distance: int
-) -> List[int]:
-    """Ascending peak indices: scipy's interior maxima plus boundaries.
-
-    Grid endpoints can hold genuine maxima (a path arriving near 0 or
-    pi); scipy never reports index 0 or the last index (its scan runs
-    strictly inside the array), so the boundary checks below never
-    duplicate an interior peak and a plain concatenation stays sorted
-    and unique — the same set the historical
-    ``sorted(set(scipy) | set(boundaries))`` produced.
-    """
-    indices = _find_peak_indices(values, height, distance)
-    out: List[int] = []
-    if values[0] > values[1] and values[0] >= height:
-        out.append(0)
-    out.extend(indices.tolist())
-    last = len(values) - 1
-    if values[last] > values[last - 1] and values[last] >= height:
-        out.append(last)
-    return out
 
 
 def region_starts_from_indices(
     values: np.ndarray, indices: List[int]
 ) -> Optional[np.ndarray]:
-    """Partition the grid into one region per peak, from ascending peak indices.
+    """Region start offsets of one spectrum from its ascending peak indices.
 
-    Region boundaries sit at the minima between adjacent peaks, so each
-    grid point is attributed to the peak whose lobe it belongs to —
-    the lobes P-MUSIC's ``Nor(·)`` scales to unit height.  Returned as
-    a start-offset array ready for ``np.maximum.reduceat``.  Region
-    ends are implicitly the next start (the last runs to
-    ``values.size``, which always exceeds its start), so the
-    degenerate-region error reduces to a strictly-increasing check.
-    ``None`` for an empty index list.
+    A one-row :func:`batched_region_starts`; ``None`` for an empty
+    index list.
     """
     if not indices:
         return None
-    starts = np.empty(len(indices), dtype=np.intp)
-    starts[0] = 0
-    for j in range(len(indices) - 1):
-        left = indices[j]
-        right = indices[j + 1]
-        starts[j + 1] = left + int(values[left : right + 1].argmin())
-    if len(indices) > 1 and not np.all(np.diff(starts) > 0):
+    row = np.asarray(values, dtype=np.float64)[None, :]
+    cols = np.asarray(indices, dtype=np.intp)
+    starts = batched_region_starts(row, np.zeros(len(cols), dtype=np.intp), cols)
+    if len(starts) > 1 and not np.all(np.diff(starts) > 0):
         raise EstimationError("degenerate peak region")
     return starts

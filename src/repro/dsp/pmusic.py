@@ -46,12 +46,14 @@ def normalize_peaks(
     keeping its angle information.  A one-row call of
     :func:`repro.dsp.batch.nor_divisors`.
     """
-    divisors = nor_divisors(
+    divisors, valid = nor_divisors(
         spectrum.values[None, :],
         spectrum.angles,
         min_relative_height,
         min_separation,
     )
+    if not valid[0]:
+        raise EstimationError("cannot normalize a spectrum with no peaks")
     return AngularSpectrum(spectrum.angles.copy(), spectrum.values / divisors[0])
 
 

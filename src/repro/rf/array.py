@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -130,9 +131,9 @@ class UniformLinearArray:
         if self.wavelength_m <= 0.0:
             raise ConfigurationError("wavelength must be positive")
 
-    @property
+    @cached_property
     def axis(self) -> Point:
-        """Unit vector along the array axis."""
+        """Unit vector along the array axis (computed once per array)."""
         return Point(math.cos(self.orientation), math.sin(self.orientation))
 
     def element_positions(self) -> List[Point]:
@@ -142,9 +143,13 @@ class UniformLinearArray:
             for m in range(self.num_antennas)
         ]
 
-    @property
+    @cached_property
     def centroid(self) -> Point:
-        """Geometric centre of the array (used as "the array position")."""
+        """Geometric centre of the array (used as "the array position").
+
+        Computed once per array: the localizers read it per reader per
+        scoring call.
+        """
         half_span = (self.num_antennas - 1) * self.spacing_m / 2.0
         return self.reference + self.axis * half_span
 

@@ -14,14 +14,16 @@ that online service:
   a counter for every drop, and a closed state so shutdown never
   strands a blocked producer.
 * :mod:`repro.stream.window` — the event-time window assembler that
-  groups reads by reader/tag/sweep into snapshot windows.  A complete
+  groups reads by reader/tag/sweep into snapshot windows, a drained
+  batch at a time as arrays (:class:`ReadColumns`).  A complete
   window (every expected reader/tag pair has all its sweeps) closes on
   the first read past its end; any other waits for the watermark, so
   the lateness bound for out-of-order arrivals stays the upper bound.
   Each window records why it closed (``closed_by``).
-* :mod:`repro.stream.covariance` — exponentially-weighted rank-1
-  covariance updates per (reader, tag), so spectra refresh per window
-  from ``R`` without recomputing it from scratch.
+* :mod:`repro.stream.covariance` — exponentially-weighted covariances
+  per (reader, tag), each window folded in closed form for all pairs
+  at once, so spectra refresh per window from ``R`` without
+  recomputing it from scratch.
 * :mod:`repro.stream.drift` — slow EWMA adaptation of the empty-area
   baseline spectra with a freeze-while-detecting guard.
 * :mod:`repro.stream.health` — per-reader health tracking and the
@@ -111,6 +113,7 @@ from repro.stream.runner import StreamConfig, StreamRunner
 from repro.stream.supervise import RetryPolicy, supervised_reads
 from repro.stream.synthetic import SyntheticStreamConfig, synthetic_reads
 from repro.stream.window import (
+    ReadColumns,
     SnapshotWindow,
     WindowAssembler,
     WindowConfig,
@@ -143,6 +146,7 @@ __all__ = [
     "QUALITY_LEVELS",
     "READER_ROLES",
     "RETAINABLE_KINDS",
+    "ReadColumns",
     "ReaderHealth",
     "ReaderProvenance",
     "RecordingHeader",

@@ -63,12 +63,10 @@ import numpy as np
 from repro import obs
 from repro.core.baseline import SpectrumSet
 from repro.dsp.spectrum import AngularSpectrum
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, EstimationError, StreamError
 from repro.utils.arrays import ComplexArray, FloatArray
-from repro.stream.covariance import EwCovariance
 from repro.stream.events import TagRead
 from repro.stream.queue import QueueStats
-from repro.stream.window import _PendingWindow
 
 if TYPE_CHECKING:
     from repro.stream.runner import StreamRunner
@@ -191,7 +189,9 @@ def restore_state(runner: "StreamRunner", state: Mapping[str, Any]) -> None:
         runner.lineage = [
             str(entry) for entry in state.get("lineage", [])
         ] + [checkpoint_id(state)]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (
+        KeyError, TypeError, ValueError, IndexError, EstimationError, StreamError
+    ) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
 
@@ -391,25 +391,14 @@ def _as_spectrum_set(record: Mapping[str, Any]) -> SpectrumSet:
 def _assembler_state(runner: "StreamRunner") -> Dict[str, Any]:
     assembler = runner.assembler
     pending: List[Dict[str, Any]] = []
-    for index in sorted(assembler._pending):
-        window = assembler._pending[index]
+    for index, reads, pairs in assembler.pending_cells():
         cells: List[Dict[str, Any]] = []
-        for (reader_name, epc) in sorted(window.cells):
-            per_sweep = window.cells[(reader_name, epc)]
-            cells.append(
-                {
-                    "reader": reader_name,
-                    "epc": epc,
-                    "sweeps": {
-                        str(sweep): {
-                            str(antenna): _complex(sample)
-                            for antenna, sample in column.items()
-                        }
-                        for sweep, column in per_sweep.items()
-                    },
-                }
-            )
-        pending.append({"index": index, "reads": window.reads, "cells": cells})
+        for reader_name, epc, samples in pairs:
+            sweeps: Dict[str, Dict[str, List[float]]] = {}
+            for sweep, antenna, sample in samples:
+                sweeps.setdefault(str(sweep), {})[str(antenna)] = _complex(sample)
+            cells.append({"reader": reader_name, "epc": epc, "sweeps": sweeps})
+        pending.append({"index": index, "reads": reads, "cells": cells})
     return {
         "pending": pending,
         "max_time": assembler._max_time,
@@ -427,20 +416,17 @@ def _assembler_state(runner: "StreamRunner") -> Dict[str, Any]:
 
 
 def _bank_state(runner: "StreamRunner") -> List[Dict[str, Any]]:
-    pairs: List[Dict[str, Any]] = []
-    for (reader_name, epc) in sorted(runner.bank._pairs):
-        estimator = runner.bank._pairs[(reader_name, epc)]
-        pairs.append(
-            {
-                "reader": reader_name,
-                "epc": epc,
-                "num_antennas": estimator.num_antennas,
-                "weighted": _complex_matrix(estimator._weighted),
-                "weight": estimator._weight,
-                "updates": estimator.updates,
-            }
-        )
-    return pairs
+    return [
+        {
+            "reader": reader_name,
+            "epc": epc,
+            "num_antennas": num_antennas,
+            "weighted": _complex_matrix(sums),
+            "weight": weight,
+            "updates": updates,
+        }
+        for (reader_name, epc), num_antennas, sums, weight, updates in runner.bank.entries()
+    ]
 
 
 # -- restore helpers ------------------------------------------------------
@@ -464,19 +450,27 @@ def _restore_assembler(
     runner: "StreamRunner", record: Mapping[str, Any]
 ) -> None:
     assembler = runner.assembler
-    assembler._pending.clear()
-    for entry in record["pending"]:
-        window = _PendingWindow(reads=int(entry["reads"]))
-        for cell in entry["cells"]:
-            per_sweep: Dict[int, Dict[int, complex]] = {
-                int(sweep): {
-                    int(antenna): _as_complex(sample)
-                    for antenna, sample in column.items()
-                }
-                for sweep, column in cell["sweeps"].items()
-            }
-            window.cells[(str(cell["reader"]), str(cell["epc"]))] = per_sweep
-        assembler._pending[int(entry["index"])] = window
+    assembler.restore_cells(
+        [
+            (
+                int(entry["index"]),
+                int(entry["reads"]),
+                [
+                    (
+                        str(cell["reader"]),
+                        str(cell["epc"]),
+                        [
+                            (int(sweep), int(antenna), _as_complex(sample))
+                            for sweep, column in cell["sweeps"].items()
+                            for antenna, sample in column.items()
+                        ],
+                    )
+                    for cell in entry["cells"]
+                ],
+            )
+            for entry in record["pending"]
+        ]
+    )
     raw_max = record["max_time"]
     assembler._max_time = None if raw_max is None else float(raw_max)
     assembler._emitted_through = int(record["emitted_through"])
@@ -489,24 +483,24 @@ def _restore_assembler(
     assembler._judged_through = int(
         record.get("judged_through", assembler._emitted_through)
     )
-    # Derived readiness bound; recomputed rather than checkpointed.
-    assembler._refresh_due()
     assembler.late_reads = int(record["late_reads"])
     assembler.torn_sweeps = int(record["torn_sweeps"])
     assembler.duplicate_reads = int(record["duplicate_reads"])
 
 
 def _restore_bank(runner: "StreamRunner", record: Any) -> None:
-    runner.bank._pairs.clear()
-    for entry in record:
-        estimator = EwCovariance(
-            num_antennas=int(entry["num_antennas"]),
-            decay=runner.bank.decay,
-        )
-        estimator._weighted = _as_complex_matrix(entry["weighted"])
-        estimator._weight = float(entry["weight"])
-        estimator.updates = int(entry["updates"])
-        runner.bank._pairs[(str(entry["reader"]), str(entry["epc"]))] = estimator
+    runner.bank.load(
+        [
+            (
+                (str(entry["reader"]), str(entry["epc"])),
+                int(entry["num_antennas"]),
+                _as_complex_matrix(entry["weighted"]),
+                float(entry["weight"]),
+                int(entry["updates"]),
+            )
+            for entry in record
+        ]
+    )
 
 
 def _restore_tracker(

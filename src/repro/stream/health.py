@@ -31,9 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional
 
+import numpy as np
+
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.stream.events import TagRead
+from repro.stream.window import ReadColumns
 
 #: Reader health states, healthiest first.
 HEALTH_STATES = ("healthy", "degraded", "quarantined")
@@ -109,7 +112,7 @@ class HealthTracker:
     """Tracks reader health across a stream's windows.
 
     The runner feeds it two signals: every accepted read
-    (:meth:`note_read`) and, per closed window, which readers
+    (:meth:`note_reads`) and, per closed window, which readers
     contributed usable spectra (:meth:`observe_window`) plus any
     per-reader processing violations (:meth:`note_violation`).  From
     those it maintains the quarantine set the runner filters evidence
@@ -150,27 +153,24 @@ class HealthTracker:
 
     def note_read(self, read: TagRead) -> None:
         """Account one accepted read (rate + staleness bookkeeping)."""
-        record = self._readers.get(read.reader_name)
-        if record is None:
-            return
-        record.reads += 1
-        if record.last_read_s is None or read.time_s > record.last_read_s:
-            record.last_read_s = read.time_s
+        self.note_reads(ReadColumns.of([read], [read.reader_name]))
 
-    def note_reads(self, reads: Iterable[TagRead]) -> None:
-        """:meth:`note_read` over a whole drained batch.
+    def note_reads(self, reads: ReadColumns) -> None:
+        """:meth:`note_read` over a whole drained batch, in columns.
 
-        Same bookkeeping, one method call per batch instead of per
-        read — the runner's poll loop touches every read exactly once.
+        One ``bincount`` for the read counts and one maximum per reader
+        for the staleness clock; reads of untracked readers are ignored.
         """
-        readers = self._readers
-        for read in reads:
-            record = readers.get(read.reader_name)
+        known = reads.reader >= 0
+        counts = np.bincount(reads.reader[known], minlength=len(reads.readers))
+        for code in np.flatnonzero(counts):
+            record = self._readers.get(reads.readers[code])
             if record is None:
                 continue
-            record.reads += 1
-            if record.last_read_s is None or read.time_s > record.last_read_s:
-                record.last_read_s = read.time_s
+            record.reads += int(counts[code])
+            latest = float(reads.time_s[reads.reader == code].max())
+            if record.last_read_s is None or latest > record.last_read_s:
+                record.last_read_s = latest
 
     def note_violation(self, reader_name: str, error: Exception) -> None:
         """Account one per-reader processing failure (contract, DSP...).

@@ -6,7 +6,8 @@ baselined :class:`~repro.core.pipeline.DWatch`:
 .. code-block:: text
 
     TagRead --> BoundedReadQueue --> WindowAssembler --> CovarianceBank
-    (ingest)    (backpressure)       (event-time)        (EW rank-1)
+    (ingest)    (backpressure)       (columnar,          (closed-form
+                                      event-time)         window fold)
                                                              |
     TrackFix <-- KalmanTracker <-- localize <-- evidence <-- P-MUSIC
     (poll)       (deadzones)        (Step 4)    (Step 3)    spectra
@@ -39,7 +40,6 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.calibration.offsets import PhaseOffsets
 from repro.core.baseline import SpectrumSet
 from repro.core.likelihood import LocationEstimate
 from repro.core.pipeline import DWatch
@@ -48,14 +48,12 @@ from repro.dsp.spectrum import AngularSpectrum
 from repro.errors import (
     CalibrationError,
     ConfigurationError,
+    EstimationError,
     LocalizationError,
     ReproError,
-    StreamError,
 )
 from repro.geometry.point import Point
 from repro.dsp.batch import BatchPMusicConfig, batched_pmusic_from_covariances
-from repro.rfid.reader import Reader
-from repro.sim.measurement import Measurement
 from repro.stream.covariance import CovarianceBank
 from repro.stream.drift import BaselineDriftTracker
 from repro.stream.events import FixQuality, TagRead, TrackFix
@@ -63,7 +61,6 @@ from repro.stream.health import HealthConfig, HealthTracker
 from repro.stream.provenance import FixProvenance, ReaderProvenance
 from repro.stream.queue import BoundedReadQueue
 from repro.stream.window import SnapshotWindow, WindowAssembler, WindowConfig
-from repro.utils.arrays import ComplexArray
 
 
 @dataclass(frozen=True)
@@ -193,37 +190,31 @@ class StreamRunner:
     def poll(self) -> List[TrackFix]:
         """Drain the queue, assemble windows, localize every closed one.
 
-        A malformed read (unknown reader, out-of-slot timestamp) is
-        counted and dropped rather than crashing the loop: a live
-        pipeline must outlast one bad report.  Structural configuration
-        errors still surface through :attr:`rejected_reads` and the
-        ``stream.reads.rejected`` counter.
+        The drained reads become columns once and are assembled as one
+        batch (see :meth:`WindowAssembler.assemble`); the windows and
+        fixes do not depend on how the stream was cut into polls.  A
+        malformed read (unknown reader, out-of-slot or non-finite
+        timestamp) is counted and dropped rather than crashing the
+        loop: a live pipeline must outlast one bad report.  Structural
+        configuration errors still surface through
+        :attr:`rejected_reads` and the ``stream.reads.rejected``
+        counter.
         """
-        fixes: List[TrackFix] = []
-        drained = self.queue.drain()
-        rejected: List[TagRead] = []
-        push = self.assembler.push
-        for read in drained:
-            try:
-                windows = push(read)
-            except StreamError:
-                self.rejected_reads += 1
-                obs.count("stream.reads.rejected")
-                rejected.append(read)
-                continue
-            fixes.extend(
-                self._process_window(window) for window in windows
-            )
+        columns = self.assembler.columns(self.queue.drain())
+        windows, rejected = self.assembler.assemble(columns)
+        bad = rejected != 0
+        if bad.any():
+            count = int(bad.sum())
+            self.rejected_reads += count
+            obs.count("stream.reads.rejected", count)
+            columns = columns.take(~bad)
+        fixes = [self._process_window(window) for window in windows]
         # Reader health counts only the reads assembly accepted (late
         # ones included: they are real reads); a rejected read's NaN or
-        # infinite time must never reach ``last_read_s``.  Rejection
-        # depends on the read alone, so identity picks out every copy.
-        # Health's read bookkeeping feeds no window decision, so
-        # noting the batch after assembly changes no fix.
-        if rejected:
-            skip = {id(read) for read in rejected}
-            drained = [read for read in drained if id(read) not in skip]
-        self.health.note_reads(drained)
+        # infinite time must never reach ``last_read_s``.  Health's
+        # read bookkeeping feeds no window decision, so noting the
+        # batch after assembly changes no fix.
+        self.health.note_reads(columns)
         obs.gauge("stream.queue.depth", float(len(self.queue)))
         return fixes
 
@@ -395,7 +386,7 @@ class StreamRunner:
             window_index=window.index,
             readers=tuple(readers),
             active_faults=active_faults,
-            watermark_s=self.assembler.watermark,
+            watermark_s=window.watermark_s,
             lateness_s=self.assembler.lateness_s,
             closed_by=window.closed_by,
             checkpoint_lineage=tuple(self.lineage),
@@ -460,62 +451,80 @@ class StreamRunner:
     ) -> Tuple[SpectrumSet, List[Tuple[str, Exception]]]:
         """Fold the window into the covariance bank; spectra from ``R``.
 
-        The calibration correction is a per-antenna diagonal multiply,
-        so applying it to the snapshot columns *before* the rank-1
-        updates is algebraically identical to correcting a batch
-        matrix.
+        Every pair folds the window in one bank call per antenna count,
+        then every pair's spectrum comes from one P-MUSIC call per
+        (configuration, antenna count) — one of each on a uniform
+        deployment.  The calibration correction is a per-antenna
+        diagonal multiply, so applying it to the snapshot columns
+        before the fold is algebraically identical to correcting a
+        batch matrix.
 
-        Failures are isolated per reader: a glitched reader whose
-        snapshots break the spectral chain (contract violation, rank
-        collapse, a spectrum with no peaks) is reported in the second
-        return value — and its spectra withheld — instead of killing
-        the whole window.  The health tracker turns repeated failures
+        Failures are isolated per reader: a reader with a pair whose
+        spectrum fails (no noise subspace, no peak), or whose columns
+        the chain rejects, is reported in the second return value — and
+        all its spectra withheld — instead of killing the whole window.
+        Every pair folds the window first, so a failing pair leaves no
+        other pair behind.  The health tracker turns repeated failures
         into a quarantine.
         """
         online = SpectrumSet()
-        failed: List[Tuple[str, Exception]] = []
-        measurement = window.measurement
-        for reader_name in measurement.readers():
-            reader = self.dwatch.readers[reader_name]
+        errors: Dict[str, Exception] = {}
+        readers = [reader for reader, _ in window.pairs]
+        corrected = window.snapshots
+        for reader_name in sorted(set(readers)):
             offsets = self.dwatch.calibration.get(reader_name)
-            try:
-                online.spectra[reader_name] = self._reader_spectra(
-                    reader_name, reader, measurement, offsets
+            if offsets is None:
+                continue
+            rows = [p for p, name in enumerate(readers) if name == reader_name]
+            size = int(window.antennas[rows[0]])
+            if offsets.num_antennas != size:
+                errors[reader_name] = CalibrationError(
+                    f"snapshot rows ({size}) != offset entries "
+                    f"({offsets.num_antennas})"
                 )
+                continue
+            if corrected is window.snapshots:
+                corrected = window.snapshots.copy()
+            corrected[rows, :, :size] *= offsets.correction()
+        # (configuration, antenna count) -> pair rows, in pair order.
+        groups: Dict[Tuple[BatchPMusicConfig, int], List[int]] = {}
+        for p, reader_name in enumerate(readers):
+            if reader_name in errors:
+                continue
+            array = self.dwatch.readers[reader_name].array
+            config = BatchPMusicConfig(
+                spacing_m=array.spacing_m, wavelength_m=array.wavelength_m
+            )
+            groups.setdefault((config, int(window.antennas[p])), []).append(p)
+        spectra: Dict[int, Optional[AngularSpectrum]] = {}
+        for (config, size), rows in groups.items():
+            pairs = [window.pairs[p] for p in rows]
+            try:
+                self.bank.fold(pairs, corrected[rows, :, :size], window.columns[rows])
+                stack = self.bank.covariances(pairs, size)
+                finite = np.isfinite(stack).all(axis=(1, 2))
+                computed = iter(
+                    batched_pmusic_from_covariances(stack[finite], config)
+                )
+                for p, ok in zip(rows, finite):
+                    spectra[p] = next(computed) if ok else None
             except (ReproError, ValueError, ArithmeticError) as exc:
                 # Everything the spectral chain can raise: the repro
                 # taxonomy, shape/eigensolver failures (LinAlgError is
                 # a ValueError subclass), and floating-point faults.
-                failed.append((reader_name, exc))
+                for p in rows:
+                    errors.setdefault(readers[p], exc)
+        for p, (reader_name, epc) in enumerate(window.pairs):
+            if reader_name in errors:
+                continue
+            spectrum = spectra[p]
+            if spectrum is None:
+                errors[reader_name] = EstimationError(
+                    f"no P-MUSIC spectrum for tag {epc!r}: no noise "
+                    "subspace or no peaks"
+                )
+                online.spectra.pop(reader_name, None)
+                continue
+            online.spectra.setdefault(reader_name, {})[epc] = spectrum
+        failed = [(name, errors[name]) for name in sorted(errors)]
         return online, failed
-
-    def _reader_spectra(
-        self,
-        reader_name: str,
-        reader: Reader,
-        measurement: Measurement,
-        offsets: Optional[PhaseOffsets],
-    ) -> Dict[str, AngularSpectrum]:
-        """Fold every tag of one reader, then one stacked P-MUSIC call.
-
-        Every pair folds the window before the spectra are computed,
-        so a failing pair leaves no other pair of the reader behind.
-        """
-        epcs: List[str] = []
-        covariances: List[ComplexArray] = []
-        for epc in measurement.tags_for(reader_name):
-            snapshots = measurement.matrix(reader_name, epc)
-            if offsets is not None:
-                snapshots = offsets.apply_correction(snapshots)
-            estimator = self.bank.pair(reader_name, epc, int(snapshots.shape[0]))
-            estimator.update_matrix(snapshots)
-            epcs.append(epc)
-            covariances.append(estimator.covariance())
-        if not covariances:
-            return {}
-        config = BatchPMusicConfig(
-            spacing_m=reader.array.spacing_m,
-            wavelength_m=reader.array.wavelength_m,
-        )
-        spectra = batched_pmusic_from_covariances(np.stack(covariances), config)
-        return dict(zip(epcs, spectra))

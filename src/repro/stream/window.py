@@ -34,16 +34,26 @@ chain consumes:
 Each emitted window says why it closed (``closed_by``: ``"complete"``,
 ``"watermark"`` or ``"flush"``), and the ``stream.window.closes{by}``
 counter tallies the same.
+
+Assembly is columnar.  A drained batch becomes :class:`ReadColumns`
+once (reader index, time, I/Q, EPC); rejection, the late and duplicate
+counts and the TDM slot lookup are array operations over it, and each
+pending window is a ``(pairs, sweeps, antennas)`` cube the reads are
+scattered into.  The batch is cut at the first read that can close or
+judge a window, which is then handled exactly as if the reads had come
+one at a time, so the windows, and every count, do not depend on how
+the stream was batched.  :meth:`WindowAssembler.push` is the one-read
+call of the same path.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro import obs
 from repro.constants import PACKETS_PER_FIX
@@ -52,9 +62,10 @@ from repro.rfid.hub import TdmSchedule
 from repro.rfid.reader import Reader
 from repro.sim.measurement import Measurement
 from repro.stream.events import TagRead
+from repro.utils.arrays import BoolArray, ComplexArray, FloatArray, IntArray
 
-#: Module-local alias saving an attribute lookup in the per-read loop.
-_floor = math.floor
+#: Per-read rejection codes (see :data:`ACCEPTED`).
+Rejections = NDArray[np.int8]
 
 #: Relative nudge applied before flooring times into sweep/window bins.
 #: Timestamps are sums of slot multiples computed in floating point, so
@@ -118,19 +129,83 @@ class WindowConfig:
             raise ConfigurationError("lateness bound cannot be negative")
 
 
-@dataclass(frozen=True)
+#: Why :meth:`WindowAssembler.assemble` rejected a read (0: it did not).
+ACCEPTED, UNKNOWN_READER, NOT_FINITE, OUTSIDE_SLOTS = 0, 1, 2, 3
+
+_REJECTIONS = {
+    UNKNOWN_READER: "read references an unknown reader",
+    NOT_FINITE: "read carries a negative or non-finite time or I/Q value",
+    OUTSIDE_SLOTS: "read falls outside every TDM slot of its reader",
+}
+
+
+@dataclass(frozen=True, eq=False)
+class ReadColumns:
+    """A batch of reads as columns, built once per drained batch.
+
+    ``reader`` indexes ``readers`` (``-1`` for a reader outside it);
+    ``epc`` indexes ``epcs``, the batch's distinct EPCs in sorted order.
+    """
+
+    readers: Tuple[str, ...]
+    reader: IntArray
+    epcs: Tuple[str, ...]
+    epc: IntArray
+    time_s: FloatArray
+    iq: ComplexArray
+
+    @classmethod
+    def of(cls, reads: Sequence[TagRead], readers: Sequence[str]) -> "ReadColumns":
+        """``reads`` as columns: one pass over the read objects per column."""
+        n = len(reads)
+        code = {name: k for k, name in enumerate(readers)}.get
+        epcs = [read.epc for read in reads]
+        distinct = tuple(sorted(set(epcs)))
+        epc_code = {epc: k for k, epc in enumerate(distinct)}.__getitem__
+        return cls(
+            readers=tuple(readers),
+            reader=np.fromiter(
+                (code(read.reader_name, -1) for read in reads), np.int64, n
+            ),
+            epcs=distinct,
+            epc=np.fromiter(map(epc_code, epcs), np.int64, n),
+            time_s=np.fromiter([read.time_s for read in reads], np.float64, n),
+            iq=np.fromiter([read.iq for read in reads], np.complex128, n),
+        )
+
+    def __len__(self) -> int:
+        return len(self.time_s)
+
+    def take(self, mask: BoolArray) -> "ReadColumns":
+        """The reads where ``mask`` holds."""
+        return ReadColumns(
+            self.readers,
+            self.reader[mask],
+            self.epcs,
+            self.epc[mask],
+            self.time_s[mask],
+            self.iq[mask],
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class SnapshotWindow:
     """One closed window, ready for spectral estimation.
 
-    ``measurement`` holds the reassembled per-(reader, tag) snapshot
-    matrices — the same shape the batch pipeline consumes, so every
-    downstream stage is shared.
+    The window's (reader, tag) pairs with at least one full sweep are
+    ``pairs``, sorted.  Pair ``p``'s snapshot columns, in sweep order,
+    are the last ``columns[p]`` rows of ``snapshots[p]`` (a
+    ``(P, sweeps, M)`` stack, zero before them), over its reader's
+    ``antennas[p]`` antennas.
     """
 
     index: int
     start_s: float
     end_s: float
-    measurement: Measurement
+    pairs: Tuple[Tuple[str, str], ...]
+    snapshots: ComplexArray
+    columns: IntArray
+    antennas: IntArray
     sweeps: int
     reads: int
     torn_sweeps: int
@@ -138,17 +213,75 @@ class SnapshotWindow:
     #: sweeps were in at the first read past its end), ``"watermark"``
     #: (the lateness bound ran out) or ``"flush"`` (end of stream).
     closed_by: str
+    #: The assembler's watermark right after the window closed.
+    watermark_s: Optional[float] = None
+
+    @property
+    def measurement(self) -> Measurement:
+        """The per-(reader, tag) ``(M, N)`` matrices the batch pipeline consumes."""
+        measurement = Measurement()
+        for p, (reader_name, epc) in enumerate(self.pairs):
+            x = self.snapshots[p, self.sweeps - self.columns[p] :, : self.antennas[p]]
+            measurement.snapshots.setdefault(reader_name, {})[epc] = np.ascontiguousarray(x.T)
+        return measurement
 
 
-@dataclass
 class _PendingWindow:
-    """Accumulating state of one not-yet-closed window."""
+    """One not-yet-closed window: a ``(pairs, sweeps, antennas)`` cube.
 
-    reads: int = 0
-    #: (reader, epc) -> sweep index -> antenna -> sample
-    cells: Dict[Tuple[str, str], Dict[int, Dict[int, complex]]] = field(
-        default_factory=dict
-    )
+    Row ``p`` holds pair ``keys[p]`` of reader code ``codes[p]``; sweep
+    ``s`` of it is its reader's sweep ``base[reader] + s``; ``filled``
+    marks the cells a read set.  ``table[code, e]`` is the row of the
+    pair of reader ``code`` and the window's ``e``-th EPC (``-1``: none).
+    """
+
+    def __init__(self, base: IntArray, sweeps: int, antennas: int) -> None:
+        self.base = base
+        self.reads = 0
+        self.keys: List[Tuple[str, str]] = []
+        self.codes: List[int] = []
+        self.epcs: Dict[str, int] = {}
+        self.table = np.full((len(base), 16), -1, dtype=np.intp)
+        self.iq = np.zeros((8, sweeps, antennas), dtype=np.complex128)
+        self.filled = np.zeros((8, sweeps, antennas), dtype=bool)
+
+    def epc(self, epc: str) -> int:
+        found = self.epcs.get(epc)
+        if found is None:
+            found = self.epcs[epc] = len(self.epcs)
+            if found == self.table.shape[1]:
+                self.table = np.concatenate([self.table, np.full_like(self.table, -1)], axis=1)
+        return found
+
+    def row(self, code: int, reader_name: str, epc: str) -> int:
+        column = self.epc(epc)
+        found = int(self.table[code, column])
+        if found < 0:
+            found = self.table[code, column] = len(self.keys)
+            self.keys.append((reader_name, epc))
+            self.codes.append(code)
+            if found == len(self.iq):
+                self.iq = np.concatenate([self.iq, np.zeros_like(self.iq)])
+                self.filled = np.concatenate([self.filled, np.zeros_like(self.filled)])
+        return found
+
+    def rows(self, columns: "ReadColumns", reads: IntArray, names: Sequence[str]) -> IntArray:
+        """The row of each of ``reads`` (created for new pairs)."""
+        codes = columns.reader[reads]
+        batch_epcs = columns.epc[reads]
+        present = np.flatnonzero(np.bincount(batch_epcs))
+        local = np.zeros(int(present[-1]) + 1, dtype=np.intp)
+        local[present] = [self.epc(columns.epcs[e]) for e in present.tolist()]
+        rows = self.table[codes, local[batch_epcs]]
+        missing = rows < 0
+        if missing.any():
+            new = np.unique(codes[missing] * len(columns.epcs) + batch_epcs[missing])
+            for code, e in zip(
+                (new // len(columns.epcs)).tolist(), (new % len(columns.epcs)).tolist()
+            ):
+                self.row(code, names[code], columns.epcs[e])
+            rows = self.table[codes, local[batch_epcs]]
+        return rows
 
 
 class WindowAssembler:
@@ -157,7 +290,9 @@ class WindowAssembler:
     Parameters
     ----------
     schedules:
-        Per-reader TDM schedules (sweep timing source).
+        Per-reader TDM schedules (sweep timing source).  Slots must be
+        in time order (starts and ends increasing) and cover antennas
+        ``0 .. M - 1``.
     config:
         Window shape; defaults mirror the paper's 10-sweep fix.
     """
@@ -174,17 +309,39 @@ class WindowAssembler:
                 raise ConfigurationError(
                     f"reader {name!r} has an empty TDM schedule"
                 )
+            slots = schedule.slots
+            if sorted(antenna for antenna, _, _ in slots) != list(
+                range(len(slots))
+            ) or any(
+                not start < end
+                or (k and not (slots[k - 1][1] < start and slots[k - 1][2] < end))
+                for k, (_, start, end) in enumerate(slots)
+            ):
+                raise ConfigurationError(
+                    f"reader {name!r}: TDM slots must be in time order "
+                    "and cover antennas 0..M-1"
+                )
         self.schedules = dict(schedules)
-        #: Per-reader hot-path constants consumed by :meth:`push` — the
-        #: sweep duration (a recomputing property on the frozen
-        #: schedule) and the bound slot lookup.  Schedules never change
-        #: after construction, so this is computed once.
-        self._hot: Dict[str, Tuple[float, Callable[[float], Optional[int]]]] = {
-            name: (schedule.duration, schedule.try_antenna_at)
-            for name, schedule in self.schedules.items()
-        }
+        #: Reader names in code order, and each reader's code.
+        self.readers: Tuple[str, ...] = tuple(self.schedules)
+        self._codes = {name: code for code, name in enumerate(self.readers)}
+        self._durations = [s.duration for s in self.schedules.values()]
+        self._duration = np.array(self._durations)
+        self._antennas = np.array([len(s.slots) for s in self.schedules.values()])
+        #: Per reader (rows): slot start times, end times and antennas,
+        #: padded past a reader's last slot with never-matching slots.
+        width = int(self._antennas.max())
+        self._slot_starts = np.full((len(self.readers), width), np.inf)
+        self._slot_ends = np.full((len(self.readers), width), np.inf)
+        self._slot_antennas = np.zeros((len(self.readers), width), dtype=np.int64)
+        for code, schedule in enumerate(self.schedules.values()):
+            for k, (antenna, start, end) in enumerate(schedule.slots):
+                self._slot_starts[code, k] = start
+                self._slot_ends[code, k] = end
+                self._slot_antennas[code, k] = antenna
+        self._last_slot = self._antennas - 1
         self.config = config or WindowConfig()
-        sweep = max(schedule.duration for schedule in self.schedules.values())
+        sweep = max(self._durations)
         self.window_s = (
             self.config.window_duration_s
             if self.config.window_duration_s is not None
@@ -193,6 +350,13 @@ class WindowAssembler:
         self.lateness_s = (
             self.config.lateness_s if self.config.lateness_s is not None else sweep
         )
+        #: Sweep slots of a window's cube: every sweep a read of the
+        #: window can land in, with two sweeps of margin on each side
+        #: for the time nudge (see :meth:`_base`).
+        self._cube_sweeps = max(
+            math.ceil(self.window_s / duration) + 4 for duration in self._durations
+        )
+        self._cube_antennas = int(self._antennas.max())
         self._pending: Dict[int, _PendingWindow] = {}
         self._max_time: Optional[float] = None
         self._emitted_through = -1
@@ -204,15 +368,6 @@ class WindowAssembler:
         #: window judged incomplete waits for the watermark without
         #: being rescanned on every read.
         self._judged_through = -1
-        #: Earliest end time among pending windows, and how far behind
-        #: the largest event time it must lie before push() looks at
-        #: the windows: zero while the earliest window awaits its
-        #: completeness verdict, the lateness bound once judged.  Lets
-        #: push() skip the readiness scan until something can actually
-        #: close.  Derived state — recomputed after every emission and
-        #: on checkpoint restore.
-        self._min_pending_end: Optional[float] = None
-        self._due_lag = 0.0
         self.late_reads = 0
         self.torn_sweeps = 0
         self.duplicate_reads = 0
@@ -240,103 +395,191 @@ class WindowAssembler:
             return None
         return self._max_time - self.lateness_s
 
+    def columns(self, reads: Sequence[TagRead]) -> ReadColumns:
+        """``reads`` as columns, reader codes in this assembler's order."""
+        return ReadColumns.of(reads, self.readers)
+
     def push(self, read: TagRead) -> List[SnapshotWindow]:
         """Ingest one read; returns any windows it closed (often none).
 
-        This is the per-read hot loop of the whole streaming engine
-        (hundreds of reads per fix), so :func:`sweep_slot` and the
-        window bookkeeping are inlined here with the per-reader sweep
-        duration precomputed — kept in sync with :func:`sweep_slot`,
-        which remains the shared reference mapping.
+        A one-read :meth:`assemble`; a rejected read raises
+        :class:`~repro.errors.StreamError` and changes nothing.
         """
-        hot = self._hot.get(read.reader_name)
-        if hot is None:
+        windows, rejected = self.assemble(self.columns([read]))
+        if rejected[0]:
             raise StreamError(
-                "read references an unknown reader",
+                _REJECTIONS[int(rejected[0])],
                 reader=read.reader_name,
                 epc=read.epc,
                 time_s=read.time_s,
             )
-        time_s = read.time_s
-        # The negated range test also rejects a NaN time, which every
-        # comparison fails.  A non-finite I/Q value folded into a pair's
-        # exponentially weighted covariance would never decay out of it.
-        if not (0.0 <= time_s < math.inf and cmath.isfinite(read.iq)):
-            raise StreamError(
-                "read carries a negative or non-finite time or I/Q value",
-                reader=read.reader_name,
-                epc=read.epc,
-                time_s=time_s,
+        return windows
+
+    def assemble(
+        self, columns: ReadColumns
+    ) -> Tuple[List[SnapshotWindow], Rejections]:
+        """Ingest a batch of reads in order; returns the windows they closed.
+
+        Also returns each read's rejection code (``ACCEPTED``, or why
+        the read was rejected: an unknown reader, a negative or
+        non-finite time or I/Q value — which would never decay out of a
+        pair's covariance — or a time outside every TDM slot).  A read
+        whose window was already emitted is late: counted and dropped,
+        never silently reordered into history a consumer has acted on.
+        """
+        n = len(columns)
+        rejected = np.zeros(n, dtype=np.int8)
+        if n == 0:
+            return [], rejected
+        reader, times = columns.reader, columns.time_s
+        # The range test is False for a NaN time.
+        good = (reader >= 0) & (times >= 0.0) & (times < math.inf) & np.isfinite(columns.iq)
+        safe = times
+        if not good.all():
+            rejected[~good] = NOT_FINITE
+            rejected[reader < 0] = UNKNOWN_READER
+            safe = np.where(good, times, 0.0)
+        index = np.floor(safe / self.window_s + _TIME_EPS).astype(np.int64)
+        sweep, antenna = self._sweep_slots(reader, safe, good)
+        emitted: List[SnapshotWindow] = []
+        start = 0
+        while start < n:
+            rest = slice(start, n)
+            in_time = good[rest] & (index[rest] > self._emitted_through)
+            accepted = np.flatnonzero(in_time & (antenna[rest] >= 0))
+            stop, closes = self._segment(start + accepted, index, times)
+            part = slice(0, stop - start)
+            late = int(np.count_nonzero(good[start:stop])) - int(
+                np.count_nonzero(in_time[part])
             )
-        window_s = self.window_s
-        index = int(_floor(time_s / window_s + _TIME_EPS))
-        if index <= self._emitted_through:
-            # Beyond the lateness bound: its window has already been
-            # emitted.  Dropping (and counting) beats silently mutating
-            # history a consumer has acted on.
-            self.late_reads += 1
-            obs.count("stream.window.late_reads")
-            return []
-        duration, try_antenna_at = hot
-        # Inlined sweep_slot(schedule, time_s); branch clamps produce
-        # the same values as its min/max calls.
-        sweep_index = int(_floor(time_s / duration + _TIME_EPS))
-        offset = time_s - sweep_index * duration
-        if offset < 0.0:
-            offset = 0.0
-        elif offset > duration:
-            offset = duration
-        probe = offset + duration * _TIME_EPS
-        if probe > duration:
-            probe = duration
-        antenna = try_antenna_at(probe)
-        if antenna is None:
-            raise StreamError(
-                "read falls outside every TDM slot of its reader",
-                reader=read.reader_name,
-                epc=read.epc,
-                time_s=time_s,
-            )
+            if late:
+                self.late_reads += late
+                obs.count("stream.window.late_reads", late)
+            rejected[start:stop][in_time[part] & (antenna[start:stop] < 0)] = OUTSIDE_SLOTS
+            placed = start + accepted[accepted < stop - start]
+            if placed.size:
+                self._place(columns, placed, index, sweep, antenna)
+            if closes:
+                emitted.extend(self._emit_ready(self._max_time))
+            start = stop
+        return emitted, rejected
+
+    def _sweep_slots(
+        self, reader: IntArray, times: FloatArray, good: BoolArray
+    ) -> Tuple[IntArray, IntArray]:
+        """Per read: its reader's sweep index and antenna (``-1``: no slot).
+
+        :func:`sweep_slot` over arrays, with the same float operations;
+        the slot search compares each read with its reader's slot edges.
+        """
+        code = np.where(good, reader, 0)
+        duration = self._duration[code]
+        index = np.floor(times / duration + _TIME_EPS)
+        offset = np.minimum(np.maximum(times - index * duration, 0.0), duration)
+        probe = np.minimum(offset + duration * _TIME_EPS, duration)[:, None]
+        # The first slot with start <= probe < end: slot edges may
+        # overlap by an ulp, and the earlier slot wins.
+        slot = np.sum(self._slot_ends[code] <= probe, axis=1)
+        inside = np.sum(self._slot_starts[code] <= probe, axis=1) > slot
+        last = self._last_slot[code]
+        antenna = np.where(
+            inside, self._slot_antennas[code, np.minimum(slot, last)], -1
+        )
+        # The final slot is end-inclusive (TdmSchedule.antenna_at).
+        closing = ~inside & (probe[:, 0] == self._slot_ends[code, last])
+        antenna[closing] = self._slot_antennas[code[closing], last[closing]]
+        return index.astype(np.int64), antenna
+
+    def _segment(self, at: IntArray, index: IntArray, times: FloatArray) -> Tuple[int, bool]:
+        """End of the run of reads no window can close in.
+
+        ``at`` are the reads, in order from the current one, that
+        assembly will place.  Returns ``(stop, closes)``: ``closes``
+        when read ``stop - 1`` is the first whose arrival lets the
+        earliest pending window close or be judged — its end at most
+        the largest event time so far (less the lateness bound once
+        judged).  The state they are judged against (emitted and
+        judged cursors) is fixed until that read.
+        """
+        if not at.size:
+            return len(times), False
+        latest = np.maximum.accumulate(times[at])
+        first = np.minimum.accumulate(index[at])
+        if self._max_time is not None:
+            latest = np.maximum(latest, self._max_time)
+        if self._pending:
+            first = np.minimum(first, min(self._pending))
+        lag = np.where(first <= self._judged_through, self.lateness_s, 0.0)
+        due = (first + 1) * self.window_s <= latest - lag
+        if not due.any():
+            return len(times), False
+        return int(at[int(np.argmax(due))]) + 1, True
+
+    def _base(self, index: int) -> IntArray:
+        """Per reader: the sweep index of sweep slot 0 in window ``index``'s cube.
+
+        Two sweeps below the one holding the window start: a read of
+        the window is at most the time nudge early, which moves it at
+        most one sweep down.
+        """
+        start_s = index * self.window_s
+        return np.array(
+            [math.floor(start_s / duration) - 2 for duration in self._durations]
+        )
+
+    def _window(self, index: int) -> _PendingWindow:
         window = self._pending.get(index)
         if window is None:
-            window = self._pending[index] = _PendingWindow()
-            end_s = (index + 1) * window_s
-            if self._min_pending_end is None or end_s < self._min_pending_end:
-                self._min_pending_end = end_s
-                self._due_lag = (
-                    self.lateness_s if index <= self._judged_through else 0.0
-                )
-        window.reads += 1
-        # get-then-insert instead of setdefault: the default dict
-        # argument would be allocated on every read, hit or miss.
-        key = (read.reader_name, read.epc)
-        per_sweep = window.cells.get(key)
-        if per_sweep is None:
-            per_sweep = window.cells[key] = {}
-        column = per_sweep.get(sweep_index)
-        if column is None:
-            column = per_sweep[sweep_index] = {}
-        if antenna in column:
-            self.duplicate_reads += 1
-            obs.count("stream.window.duplicate_reads")
-        column[antenna] = read.iq
-        max_time = self._max_time
-        if max_time is None or time_s > max_time:
-            self._max_time = max_time = time_s
-        # Fast path for the by-far common case: nothing can close or be
-        # judged yet.
-        min_pending_end = self._min_pending_end
-        if min_pending_end is None or min_pending_end > max_time - self._due_lag:
-            return []
-        return self._emit_ready(max_time)
+            window = self._pending[index] = _PendingWindow(
+                self._base(index), self._cube_sweeps, self._cube_antennas
+            )
+        return window
+
+    def _place(
+        self,
+        columns: ReadColumns,
+        at: IntArray,
+        index: IntArray,
+        sweep: IntArray,
+        antenna: IntArray,
+    ) -> None:
+        """Scatter the accepted reads ``at`` (in order) into their windows."""
+        windows = index[at]
+        single = windows.min() == windows.max()
+        for window_index in [int(windows[0])] if single else np.unique(windows).tolist():
+            reads = at if single else at[windows == window_index]
+            window = self._window(window_index)
+            codes = columns.reader[reads]
+            rows = window.rows(columns, reads, self.readers)
+            offsets = sweep[reads] - window.base[codes]
+            if np.any((offsets < 0) | (offsets >= self._cube_sweeps)):
+                raise StreamError("read lands outside its window's sweeps")
+            cells = (rows * self._cube_sweeps + offsets) * self._cube_antennas + antenna[reads]
+            values = columns.iq[reads]
+            ordered = np.sort(cells)
+            if np.any(ordered[1:] == ordered[:-1]):
+                # The last read of a cell wins, as if pushed one at a time.
+                cells, first_from_end = np.unique(cells[::-1], return_index=True)
+                values = values[len(values) - 1 - first_from_end]
+            filled = window.filled.reshape(-1)
+            duplicates = len(reads) - len(cells) + int(np.count_nonzero(filled[cells]))
+            window.iq.reshape(-1)[cells] = values
+            filled[cells] = True
+            window.reads += len(reads)
+            if duplicates:
+                self.duplicate_reads += duplicates
+                obs.count("stream.window.duplicate_reads", duplicates)
+        latest = float(columns.time_s[at].max())
+        if self._max_time is None or latest > self._max_time:
+            self._max_time = latest
 
     def flush(self) -> List[SnapshotWindow]:
         """Close and emit every pending window (end of stream)."""
+        watermark = self.watermark
         emitted = [
-            self._close(index, "flush") for index in sorted(self._pending)
+            self._close(index, "flush", watermark) for index in sorted(self._pending)
         ]
         self._pending.clear()
-        self._min_pending_end = None
         if emitted:
             self._emitted_through = max(w.index for w in emitted)
         return [w for w in emitted if w.sweeps > 0]
@@ -362,22 +605,19 @@ class WindowAssembler:
                 closed_by = "complete"
             else:
                 break
-            window = self._close(index, closed_by)
+            window = self._close(index, closed_by, watermark)
             del self._pending[index]
             self._emitted_through = max(self._emitted_through, index)
             if window.sweeps > 0:
                 emitted.append(window)
-        self._refresh_due()
         return emitted
 
-    def _refresh_due(self) -> None:
-        """Recompute the push() fast-path bound from the pending windows."""
-        if not self._pending:
-            self._min_pending_end = None
-            return
-        first = min(self._pending)
-        self._min_pending_end = (first + 1) * self.window_s
-        self._due_lag = self.lateness_s if first <= self._judged_through else 0.0
+    def _full(self, window: _PendingWindow) -> Tuple[BoolArray, BoolArray, IntArray]:
+        """Per row and sweep: a full column, any read; and each row's reader code."""
+        rows = len(window.keys)
+        codes = np.array(window.codes, dtype=np.int64)
+        counts = window.filled[:rows].sum(axis=2)
+        return counts == self._antennas[codes][:, None], counts > 0, codes
 
     def _complete(self, index: int) -> bool:
         """Whether every expected pair of window ``index`` is in.
@@ -391,55 +631,49 @@ class WindowAssembler:
         """
         if self._expected is None:
             return False
+        window = self._pending[index]
+        full, _, codes = self._full(window)
         start_s, end_s = index * self.window_s, (index + 1) * self.window_s
-        done: Set[Tuple[str, str]] = set()
-        # reader -> (sweeps wholly inside the window, antennas per sweep)
-        shapes: Dict[str, Tuple[range, int]] = {}
-        for key, per_sweep in self._pending[index].cells.items():
-            shape = shapes.get(key[0])
-            if shape is None:
-                schedule = self.schedules[key[0]]
-                duration = schedule.duration
-                shape = shapes[key[0]] = (
-                    range(
-                        math.ceil(start_s / duration - _TIME_EPS),
-                        int(_floor(end_s / duration + _TIME_EPS)),
-                    ),
-                    len(schedule.slots),
-                )
-            inside, num_antennas = shape
-            if inside and all(
-                len(per_sweep.get(sweep_index, ())) == num_antennas
-                for sweep_index in inside
-            ):
-                done.add(key)
-            elif any(len(column) == num_antennas for column in per_sweep.values()):
-                # A pair with a full column here is expected too.
-                return False
-        return self._expected <= done
+        # Per reader: the cube's sweep slots wholly inside the window.
+        lo = np.array(
+            [math.ceil(start_s / d - _TIME_EPS) for d in self._durations]
+        ) - window.base
+        hi = np.array(
+            [int(math.floor(end_s / d + _TIME_EPS)) for d in self._durations]
+        ) - window.base
+        slots = np.arange(self._cube_sweeps)
+        inside = (slots >= lo[codes][:, None]) & (slots < hi[codes][:, None])
+        done = (hi[codes] > lo[codes]) & ~np.any(inside & ~full, axis=1)
+        if np.any(full.any(axis=1) & ~done):
+            # A pair with a full column here is expected too.
+            return False
+        return self._expected <= {window.keys[p] for p in np.flatnonzero(done)}
 
-    def _close(self, index: int, closed_by: str) -> SnapshotWindow:
-        pending = self._pending[index]
-        measurement = Measurement()
-        torn = 0
-        max_columns = 0
-        expected: Set[Tuple[str, str]] = set()
-        for (reader_name, epc), per_sweep in sorted(pending.cells.items()):
-            num_antennas = len(self.schedules[reader_name].slots)
-            columns: List[List[complex]] = []
-            for sweep_index in sorted(per_sweep):
-                column = per_sweep[sweep_index]
-                if len(column) != num_antennas:
-                    torn += 1
-                    continue
-                columns.append([column[m] for m in range(num_antennas)])
-            if not columns:
-                continue
-            matrix = np.asarray(columns, dtype=np.complex128).T  # (M, N)
-            measurement.snapshots.setdefault(reader_name, {})[epc] = matrix
-            max_columns = max(max_columns, matrix.shape[1])
-            expected.add((reader_name, epc))
-        self._expected = expected
+    def _close(
+        self, index: int, closed_by: str, watermark: Optional[float]
+    ) -> SnapshotWindow:
+        window = self._pending[index]
+        full, present, codes = self._full(window)
+        torn = int(np.sum(present & ~full))
+        per_pair = full.sum(axis=1)
+        order = sorted(
+            (p for p in range(len(window.keys)) if per_pair[p]),
+            key=window.keys.__getitem__,
+        )
+        rows = np.array(order, dtype=np.intp)
+        columns = per_pair[rows]
+        sweeps = int(columns.max()) if len(rows) else 0
+        snapshots = np.zeros(
+            (len(rows), sweeps, self._cube_antennas), dtype=np.complex128
+        )
+        if len(rows):
+            selected = full[rows]
+            # Right-align each pair's full sweeps, in sweep order.
+            slot = np.cumsum(selected, axis=1) - 1 + (sweeps - columns)[:, None]
+            pair, cube_sweep = np.nonzero(selected)
+            snapshots[pair, slot[pair, cube_sweep]] = window.iq[rows[pair], cube_sweep]
+        pairs = tuple(window.keys[p] for p in order)
+        self._expected = set(pairs)
         if torn:
             self.torn_sweeps += torn
             obs.count("stream.window.torn_sweeps", torn)
@@ -449,9 +683,75 @@ class WindowAssembler:
             index=index,
             start_s=index * self.window_s,
             end_s=(index + 1) * self.window_s,
-            measurement=measurement,
-            sweeps=max_columns,
-            reads=pending.reads,
+            pairs=pairs,
+            snapshots=snapshots,
+            columns=columns,
+            antennas=self._antennas[codes[rows]],
+            sweeps=sweeps,
+            reads=window.reads,
             torn_sweeps=torn,
             closed_by=closed_by,
+            watermark_s=watermark,
         )
+
+    # -- checkpoints --------------------------------------------------------
+
+    def pending_cells(
+        self,
+    ) -> List[Tuple[int, int, List[Tuple[str, str, List[Tuple[int, int, complex]]]]]]:
+        """Every pending window's reads: ``(index, reads, pairs)``.
+
+        ``pairs`` lists ``(reader, epc, cells)`` sorted by pair, each
+        cell ``(sweep, antenna, iq)`` in sweep then antenna order.
+        """
+        pending = []
+        for index in sorted(self._pending):
+            window = self._pending[index]
+            pairs = []
+            for row in sorted(range(len(window.keys)), key=window.keys.__getitem__):
+                key = window.keys[row]
+                base = int(window.base[window.codes[row]])
+                sweeps, antennas = np.nonzero(window.filled[row])
+                pairs.append(
+                    (
+                        key[0],
+                        key[1],
+                        [
+                            (base + int(s), int(m), complex(window.iq[row, s, m]))
+                            for s, m in zip(sweeps, antennas)
+                        ],
+                    )
+                )
+            pending.append((index, window.reads, pairs))
+        return pending
+
+    def restore_cells(
+        self,
+        pending: Sequence[
+            Tuple[int, int, Sequence[Tuple[str, str, Sequence[Tuple[int, int, complex]]]]]
+        ],
+    ) -> None:
+        """Replace the pending windows with :meth:`pending_cells` output."""
+        self._pending.clear()
+        for index, reads, pairs in pending:
+            window = self._window(index)
+            window.reads = reads
+            for reader_name, epc, cells in pairs:
+                code = self._codes.get(reader_name)
+                if code is None:
+                    raise StreamError(
+                        "checkpointed cell names an unknown reader",
+                        reader=reader_name,
+                        epc=epc,
+                    )
+                row = window.row(code, reader_name, epc)
+                for sweep_index, antenna, iq in cells:
+                    offset = sweep_index - int(window.base[code])
+                    if not 0 <= offset < self._cube_sweeps:
+                        raise StreamError(
+                            "checkpointed cell lies outside its window",
+                            reader=reader_name,
+                            epc=epc,
+                        )
+                    window.iq[row, offset, antenna] = iq
+                    window.filled[row, offset, antenna] = True

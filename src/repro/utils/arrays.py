@@ -21,4 +21,7 @@ ComplexArray = NDArray[np.complex128]
 #: Integer index arrays (peak indices, grid cells).
 IntArray = NDArray[np.int64]
 
-__all__ = ["ArrayLike", "ComplexArray", "FloatArray", "IntArray"]
+#: Boolean masks (per-item validity, filled cells).
+BoolArray = NDArray[np.bool_]
+
+__all__ = ["ArrayLike", "BoolArray", "ComplexArray", "FloatArray", "IntArray"]

@@ -23,6 +23,7 @@ from repro.dsp.batch import (
     BatchPMusicConfig,
     batched_pmusic_from_covariances,
     batched_sample_covariance,
+    strict_spectra,
 )
 from repro.dsp.peaks import find_spectrum_peaks
 from repro.dsp.spectrum import AngularSpectrum, SpectrumPeak
@@ -66,7 +67,7 @@ class WidebandPMusic:
             source_threshold_ratio=self.source_threshold_ratio,
             angle_grid=self.angle_grid,
         )
-        return batched_pmusic_from_covariances(r[None], config)[0]
+        return strict_spectra(batched_pmusic_from_covariances(r[None], config))[0]
 
     def estimate_paths(
         self, reports: np.ndarray, max_peaks: Optional[int] = None

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.detector import BlockedPath, DropDetector
+from repro.core.detector import BlockedPath, DropDetector, _evidence_from_events
 from repro.dsp.spectrum import AngularSpectrum, default_angle_grid
 
 
@@ -116,19 +116,6 @@ class TestEvidenceAggregation:
         with pytest.raises(LocalizationError):
             detector.evidence(base, online)
 
-    def test_without_events_near_filters(self):
-        detector = DropDetector()
-        base, online = self._sets(
-            lobe_spectrum([50, 130], [1.0, 0.9]),
-            lobe_spectrum([50, 130], [0.02, 0.02]),
-        )
-        evidence = detector.evidence(base, online)[0]
-        filtered = evidence.without_events_near(
-            math.radians(50), math.radians(5)
-        )
-        assert len(filtered.events) == 1
-        assert math.degrees(filtered.events[0].angle) == pytest.approx(130, abs=1)
-
     def test_rebuilt_evidence_keeps_the_detector_kernels(self):
         detector = DropDetector()
         base, online = self._sets(
@@ -136,7 +123,9 @@ class TestEvidenceAggregation:
             lobe_spectrum([50, 130], [0.02, 0.02]),
         )
         evidence = detector.evidence(base, online)[0]
-        rebuilt = evidence.without_events_near(math.radians(90), math.radians(5))
+        rebuilt = _evidence_from_events(
+            evidence.reader_name, evidence.events, evidence.drop.angles
+        )
         assert len(rebuilt.events) == 2
         assert np.array_equal(rebuilt.drop.values, evidence.drop.values)
 

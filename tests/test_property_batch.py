@@ -208,11 +208,12 @@ class TestCovarianceDomainEquivalence:
         weight = np.sum(decay**ages)
         scaled = stack * np.sqrt(s * decay**ages / weight)[None, None, :]
         oracle = _oracles(scaled)
-        if oracle is None:
-            with pytest.raises(EstimationError):
-                batched_pmusic_from_covariances(np.stack(covariances), CONFIG)
-            return
         batched = batched_pmusic_from_covariances(np.stack(covariances), CONFIG)
+        if oracle is None:
+            # Parity: an item the oracle cannot normalize (no noise
+            # subspace, no peak) has no spectrum.
+            assert any(item is None for item in batched)
+            return
         for got, want in zip(batched, oracle):
             _assert_close_to_oracle(got, want)
 

@@ -1,8 +1,11 @@
-"""Incremental covariance: EW updates, smoothing and P-MUSIC from R."""
+"""Incremental covariance: EW updates, window folds, smoothing and P-MUSIC from R."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.constants import DEFAULT_WAVELENGTH_M
 from repro.dsp.bartlett import bartlett_power_spectrum
 from repro.dsp.batch import (
     BatchPMusicConfig,
@@ -52,8 +55,8 @@ class TestEwCovariance:
 
     @pytest.mark.parametrize("columns", [1, 2, 7])
     def test_update_matrix_equals_repeated_update(self, rng, columns):
-        # The inlined matrix fold must stay bit-identical to folding the
-        # same columns one at a time, including a one-column matrix.
+        # The closed-form window fold is the rank-1 recursion unrolled:
+        # equal to it to rounding, and bit-identical for one column.
         history, x = snapshots(rng, m=4, n=3), snapshots(rng, m=4, n=columns)
         matrix = EwCovariance(num_antennas=4, decay=0.8)
         looped = EwCovariance(num_antennas=4, decay=0.8)
@@ -62,8 +65,14 @@ class TestEwCovariance:
         matrix.update_matrix(x)
         for n in range(columns):
             looped.update(x[:, n])
-        np.testing.assert_array_equal(matrix.covariance(), looped.covariance())
-        assert matrix.weight == looped.weight
+        if columns == 1:
+            np.testing.assert_array_equal(matrix.covariance(), looped.covariance())
+            assert matrix.weight == looped.weight
+        else:
+            np.testing.assert_allclose(
+                matrix.covariance(), looped.covariance(), rtol=1e-13, atol=1e-15
+            )
+            assert matrix.weight == pytest.approx(looped.weight, rel=1e-14)
         assert matrix.updates == looped.updates
 
     def test_decay_discounts_old_snapshots(self, rng):
@@ -120,6 +129,20 @@ class TestCovarianceBank:
         np.testing.assert_allclose(
             bank.covariance("r0", "t1"), sample_covariance(b), atol=1e-10
         )
+
+    def test_window_fold_equals_per_pair_updates(self, rng):
+        bank = CovarianceBank(decay=0.8)
+        a, b = snapshots(rng, m=4, n=5), snapshots(rng, m=4, n=3)
+        columns = np.zeros((2, 5, 4), dtype=complex)
+        columns[0], columns[1, 2:] = a.T, b.T
+        bank.fold([("r0", "t0"), ("r0", "t1")], columns, np.array([5, 3]))
+        for key, x in ((("r0", "t0"), a), (("r0", "t1"), b)):
+            alone = EwCovariance(num_antennas=4, decay=0.8)
+            alone.update_matrix(x)
+            np.testing.assert_array_equal(bank.covariance(*key), alone.covariance())
+            assert bank.pair(*key, 4).updates == x.shape[1]
+        with pytest.raises(EstimationError, match="more than once"):
+            bank.fold([("r0", "t0"), ("r0", "t0")], columns, np.array([5, 3]))
 
     def test_unknown_pair_raises(self):
         with pytest.raises(EstimationError, match="no covariance"):
@@ -179,3 +202,77 @@ class TestPmusicFromCovariance:
     def test_rejects_non_square_covariance(self):
         with pytest.raises(EstimationError):
             batched_pmusic_from_covariances(np.ones((1, 3, 4)), CONFIG)
+
+
+def _pairs(seed: int, count: int, m: int):
+    """Per pair: an earlier window's columns and this window's, (N, M) each."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        columns = []
+        for n in rng.integers(1, 13, size=2):
+            x = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+            # A coherent path, so most covariances have a peaked spectrum.
+            phase = np.exp(-1j * np.pi * np.cos(rng.uniform(0, np.pi)) * np.arange(m))
+            x += (rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))) * phase * 3
+            columns.append(x)
+        pairs.append(columns)
+    return pairs
+
+
+def _fold(bank, keys, windows, strided):
+    """Fold each pair's window (right-aligned, zero-padded) in one call."""
+    m = windows[0].shape[1]
+    width = max(len(x) for x in windows)
+    stack = np.zeros((len(windows), width, m), dtype=complex)
+    for p, x in enumerate(windows):
+        stack[p, width - len(x) :] = x
+    if strided:
+        # The same values through a non-contiguous view.
+        wide = np.zeros((len(windows), width, 2 * m), dtype=complex)
+        wide[:, :, ::2] = stack
+        stack = wide[:, :, ::2]
+    bank.fold(keys, stack, np.array([len(x) for x in windows]))
+
+
+class TestPairIndependence:
+    """A pair's covariance and spectrum depend on that pair alone, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=3, max_value=8),
+        st.randoms(use_true_random=False),
+    )
+    def test_alone_equals_any_shuffled_stack(self, seed, count, m, shuffler):
+        pairs = _pairs(seed, count, m)
+        keys = [("r", f"t{p}") for p in range(count)]
+        order = list(range(count))
+        shuffler.shuffle(order)
+
+        together = CovarianceBank(decay=0.8)
+        for window in range(2):
+            _fold(
+                together,
+                [keys[p] for p in order],
+                [pairs[p][window] for p in order],
+                strided=window == 1,
+            )
+        stack = together.covariances([keys[p] for p in order], m)
+        config = BatchPMusicConfig(
+            spacing_m=DEFAULT_WAVELENGTH_M / 2.0, wavelength_m=DEFAULT_WAVELENGTH_M
+        )
+        stacked = batched_pmusic_from_covariances(stack[:, ::-1, ::-1][:, ::-1, ::-1], config)
+
+        for k, p in enumerate(order):
+            alone = CovarianceBank(decay=0.8)
+            for window in range(2):
+                _fold(alone, [keys[p]], [pairs[p][window]], strided=False)
+            r = alone.covariances([keys[p]], m)
+            assert np.array_equal(r[0], stack[k])
+            single = batched_pmusic_from_covariances(r, config)[0]
+            if single is None:
+                assert stacked[k] is None
+            else:
+                assert np.array_equal(single.values, stacked[k].values)

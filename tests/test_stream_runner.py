@@ -17,6 +17,7 @@ from repro.sim.measurement import MeasurementConfig, MeasurementSession
 from repro.sim.target import human_target
 from repro.stream import StreamConfig, StreamRunner
 from repro.stream.drift import BaselineDriftTracker
+from repro.stream.provenance import fix_record
 from repro.stream.synthetic import (
     SyntheticStreamConfig,
     measurement_reads,
@@ -71,9 +72,11 @@ class TestEndToEnd:
 
         assert len(via_calls) == len(via_run)
         for a, b in zip(via_calls, via_run):
-            assert a.index == b.index
-            assert a.position == b.position
-            assert a.predicted_only == b.predicted_only
+            # The whole record, provenance included, and every raw
+            # estimate: one poll per read changes nothing.
+            assert fix_record(a) == fix_record(b)
+            assert a.raw_estimates == b.raw_estimates
+            assert (a.sweeps, a.reads, a.quality) == (b.sweeps, b.reads, b.quality)
 
 
 class TestNonFiniteReads:

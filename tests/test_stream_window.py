@@ -20,7 +20,12 @@ from repro.stream.synthetic import (
     measurement_reads,
     synthetic_reads,
 )
-from repro.stream.window import SnapshotWindow, WindowAssembler, WindowConfig
+from repro.stream.window import (
+    SnapshotWindow,
+    WindowAssembler,
+    WindowConfig,
+    sweep_slot,
+)
 
 NUM_ANTENNAS = 4
 SCHEDULE = AntennaHub(num_antennas=NUM_ANTENNAS).sweep_schedule()
@@ -401,6 +406,91 @@ class TestCloseProperty:
         assert push_all(oracle, reads) == []
         assert canonical(windows) == canonical(oracle.flush())
         assert live.late_reads == 0
+
+
+def messy(reads, seed):
+    """``reads`` reordered within the lateness bound, with rejects and stragglers."""
+    rng = np.random.default_rng(seed)
+    out = list(reads)
+    for k in rng.integers(0, len(out) - 1, size=len(out) // 10):
+        out[k], out[k + 1] = out[k + 1], out[k]
+    for k in sorted(rng.integers(0, len(out), size=12), reverse=True):
+        kind = int(rng.integers(0, 4))
+        read = out[k]
+        if kind == 0:
+            bad = TagRead("ghost", read.epc, read.time_s, read.iq)
+        elif kind == 1:
+            bad = TagRead(read.reader_name, read.epc, math.nan, read.iq)
+        elif kind == 2:
+            bad = TagRead(read.reader_name, read.epc, read.time_s, complex(math.inf, 0))
+        else:
+            # A straggler from three sweeps back: late once its window closed.
+            bad = TagRead(read.reader_name, read.epc, max(0.0, read.time_s - 3 * SWEEP_S), read.iq)
+        out.insert(k, bad)
+    return out
+
+
+def push_each(assembler, reads):
+    """Per read: windows closed, and whether the read was rejected."""
+    emitted, rejected = [], []
+    for read in reads:
+        try:
+            emitted.extend(assembler.push(read))
+            rejected.append(False)
+        except StreamError:
+            rejected.append(True)
+    return emitted, rejected
+
+
+class TestBatchedAssembly:
+    """Assembling a batch equals pushing its reads one at a time."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=1, max_value=400),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_chunking_equals_per_read_pushes(self, seed, num_windows, extras, size):
+        reads = messy(stream_reads(seed, num_windows, extras), seed)
+        schedules = {"r": SCHEDULE, "q": SHORT_SCHEDULE}
+        config = WindowConfig(sweeps_per_window=2)
+        single = WindowAssembler(schedules, config)
+        want, want_rejected = push_each(single, reads)
+        batched = WindowAssembler(schedules, config)
+        rng = np.random.default_rng(seed + 1)
+        got, got_rejected, start = [], [], 0
+        while start < len(reads):
+            stop = start + int(rng.integers(1, size + 1))
+            windows, rejected = batched.assemble(batched.columns(reads[start:stop]))
+            got.extend(windows)
+            got_rejected.extend(bool(code) for code in rejected)
+            start = stop
+        assert canonical(got) == canonical(want)
+        assert [w.closed_by for w in got] == [w.closed_by for w in want]
+        assert [w.watermark_s for w in got] == [w.watermark_s for w in want]
+        assert got_rejected == want_rejected
+        for counter in ("late_reads", "duplicate_reads", "torn_sweeps"):
+            assert getattr(batched, counter) == getattr(single, counter)
+        assert batched.pending_cells() == single.pending_cells()
+        assert canonical(batched.flush()) == canonical(single.flush())
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=50 * SWEEP_S), max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_slot_lookup_equals_sweep_slot(self, times):
+        # Slot edges included: every read lands where sweep_slot, the
+        # per-read reference the fault injector uses, puts it.
+        edges = [k * SLOT_S for k in range(20)] + [k * 0.7 * SLOT_S for k in range(20)]
+        schedules = {"r": SCHEDULE, "q": SHORT_SCHEDULE}
+        for t in list(times) + edges:
+            for name, schedule in schedules.items():
+                assembler = WindowAssembler(
+                    schedules, WindowConfig(sweeps_per_window=2, lateness_s=math.inf)
+                )
+                assembler.push(TagRead(name, "tag", t, 1j))
+                ((_, _, ((_, _, ((sweep, antenna, _),)),)),) = assembler.pending_cells()
+                assert (sweep, antenna) == sweep_slot(schedule, t)
 
 
 @pytest.fixture(scope="module")
